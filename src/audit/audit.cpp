@@ -164,21 +164,31 @@ cep::Event AuditEvent::to_cep_event() const {
 
 void AuditEvent::to_slotted(const AuditSlots& slots, cep::SlottedEvent& out) const {
   out.reset(time, slots.stream);
-  out.set_bool(slots.allowed, allowed);
-  out.set_string(slots.ugi, ugi);
-  out.set_string(slots.ip, ip);
-  out.set_string(slots.cmd, cmd);
-  out.set_string(slots.src, src);
-  if (!dst.empty()) {
+  if (slots.wants(slots.allowed)) {
+    out.set_bool(slots.allowed, allowed);
+  }
+  if (slots.wants(slots.ugi)) {
+    out.set_string(slots.ugi, ugi);
+  }
+  if (slots.wants(slots.ip)) {
+    out.set_string(slots.ip, ip);
+  }
+  if (slots.wants(slots.cmd)) {
+    out.set_string(slots.cmd, cmd);
+  }
+  if (slots.wants(slots.src)) {
+    out.set_string(slots.src, src);
+  }
+  if (!dst.empty() && slots.wants(slots.dst)) {
     out.set_string(slots.dst, dst);
   }
-  if (block) {
+  if (block && slots.wants(slots.blk)) {
     out.set_int(slots.blk, *block);
   }
-  if (datanode) {
+  if (datanode && slots.wants(slots.dn)) {
     out.set_int(slots.dn, *datanode);
   }
-  if (fid != 0) {
+  if (fid != 0 && slots.wants(slots.fid)) {
     out.set_int(slots.fid, fid);
   }
 }

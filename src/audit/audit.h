@@ -26,8 +26,15 @@ struct AuditSlots {
   cep::Slot blk{cep::kNoSlot};
   cep::Slot dn{cep::kNoSlot};
   cep::Slot fid{cep::kNoSlot};
+  /// When set, to_slotted fills only the attributes this read set marks
+  /// (cep::EngineBase::read_attrs); null fills every attribute.
+  const std::vector<bool>* read{nullptr};
 
   static AuditSlots resolve(cep::SymbolTable& attrs, cep::SymbolTable& streams);
+
+  [[nodiscard]] bool wants(cep::Slot slot) const {
+    return read == nullptr || (slot < read->size() && (*read)[slot]);
+  }
 };
 
 /// One HDFS namenode audit record. Mirrors the real FSNamesystem.audit line:
@@ -64,7 +71,8 @@ struct AuditEvent {
   [[nodiscard]] cep::Event to_cep_event() const;
 
   /// Fill `out` with the same attributes in slotted form (same attribute set
-  /// as to_cep_event, no ClassAd, no per-attribute allocations).
+  /// as to_cep_event, less any `slots` does not want; no ClassAd, no
+  /// per-attribute allocations).
   void to_slotted(const AuditSlots& slots, cep::SlottedEvent& out) const;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <stdexcept>
+#include <string>
 
 #include "classad/expr.h"
 
@@ -164,6 +166,29 @@ bool try_compile(const classad::Expr* expr, SymbolTable& attrs, std::vector<Fast
   return false;
 }
 
+/// Every attribute `expr` references, for the ClassAd fallback's read set.
+void collect_attr_refs(const classad::Expr* expr, SymbolTable& attrs, std::vector<Slot>& out) {
+  if (expr == nullptr) {
+    return;
+  }
+  if (const auto* ref = dynamic_cast<const AttrRefExpr*>(expr)) {
+    out.push_back(attrs.intern(ref->name()));
+  } else if (const auto* bin = dynamic_cast<const BinaryExpr*>(expr)) {
+    collect_attr_refs(bin->lhs().get(), attrs, out);
+    collect_attr_refs(bin->rhs().get(), attrs, out);
+  } else if (const auto* un = dynamic_cast<const classad::UnaryExpr*>(expr)) {
+    collect_attr_refs(un->operand().get(), attrs, out);
+  } else if (const auto* cond = dynamic_cast<const classad::ConditionalExpr*>(expr)) {
+    for (const classad::ExprPtr& child : cond->children()) {
+      collect_attr_refs(child.get(), attrs, out);
+    }
+  } else if (const auto* call = dynamic_cast<const classad::FunctionCallExpr*>(expr)) {
+    for (const classad::ExprPtr& arg : call->args()) {
+      collect_attr_refs(arg.get(), attrs, out);
+    }
+  }
+}
+
 }  // namespace
 
 bool eval_fast_pred(const FastPred& p, const SlottedEvent& e) {
@@ -233,6 +258,10 @@ bool eval_fast_pred(const FastPred& p, const SlottedEvent& e) {
 
 CompiledQuery CompiledQuery::compile(const Query& q, SymbolTable& attrs,
                                      SymbolTable& streams) {
+  if (q.group_by.size() > kMaxGroupBy) {
+    throw std::invalid_argument("GROUP BY names more than " + std::to_string(kMaxGroupBy) +
+                                " attributes");
+  }
   CompiledQuery plan;
   plan.stream = q.from.empty() ? kNoSlot : streams.intern(q.from);
   if (q.where) {
@@ -243,6 +272,9 @@ CompiledQuery CompiledQuery::compile(const Query& q, SymbolTable& attrs,
     } else {
       plan.where = WhereMode::kClassAd;
     }
+    // Both WHERE paths read the same attributes (the fast path can be
+    // switched off per engine), so the read set covers every reference.
+    collect_attr_refs(q.where.get(), attrs, plan.reads);
   }
   plan.group_slots.reserve(q.group_by.size());
   for (const std::string& attr : q.group_by) {
@@ -261,6 +293,12 @@ CompiledQuery CompiledQuery::compile(const Query& q, SymbolTable& attrs,
       plan.agg_numeric_index.push_back(static_cast<std::int32_t>(plan.numeric_aggs++));
       plan.agg_is_minmax.push_back(agg.kind == Aggregate::Kind::kMin ||
                                    agg.kind == Aggregate::Kind::kMax);
+    }
+  }
+  plan.reads.insert(plan.reads.end(), plan.group_slots.begin(), plan.group_slots.end());
+  for (const Slot s : plan.agg_slots) {
+    if (s != kNoSlot) {
+      plan.reads.push_back(s);
     }
   }
   return plan;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "cep/group_key.h"
 #include "cep/query.h"
 #include "cep/slotted_event.h"
 #include "classad/classad.h"
@@ -24,6 +25,8 @@ struct FastPred {
   double nval{0.0};         // int literals promoted (ClassAd compares as double)
   std::string sval_lower;   // string literal, pre-folded for ClassAd's
                             // case-insensitive string compare
+
+  friend bool operator==(const FastPred&, const FastPred&) = default;
 };
 
 /// Strictly-true evaluation of one fast predicate against a slotted event.
@@ -46,6 +49,11 @@ struct CompiledQuery {
   std::vector<bool> agg_is_minmax;               // parallel to query.select
   std::size_t numeric_aggs{0};
 
+  /// Every attribute slot the plan reads: WHERE (fast predicates or every
+  /// attribute the fallback expression references), GROUP BY, aggregates.
+  std::vector<Slot> reads;
+
+  /// Throws std::invalid_argument for a GROUP BY wider than kMaxGroupBy.
   static CompiledQuery compile(const Query& q, SymbolTable& attrs, SymbolTable& streams);
 };
 

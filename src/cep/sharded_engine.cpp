@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <iterator>
+#include <numeric>
 #include <thread>
-#include <unordered_map>
 
 #include "cep/event.h"
 #include "snapshot/codec.h"
@@ -54,6 +55,27 @@ std::uint64_t route_hash(const SlotValue* v) {
   return 0;
 }
 
+/// Fold `src`'s aggregates into `dst` (same group, another shard).
+void merge_aggs(const Query& q, Engine::RawGroup& dst, const Engine::RawGroup& src) {
+  dst.count += src.count;
+  for (std::size_t i = 0; i < q.select.size(); ++i) {
+    Engine::RawAggregate& a = dst.aggs[i];
+    const Engine::RawAggregate& b = src.aggs[i];
+    a.sum += b.sum;
+    a.non_null += b.non_null;
+    if (b.has_extreme) {
+      if (!a.has_extreme) {
+        a.extreme = b.extreme;
+        a.has_extreme = true;
+      } else if (q.select[i].kind == Aggregate::Kind::kMin) {
+        a.extreme = std::min(a.extreme, b.extreme);
+      } else {
+        a.extreme = std::max(a.extreme, b.extreme);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions opts)
@@ -71,6 +93,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions opts)
   }
   pending_.resize(n);
   route_slot_ = attrs_->intern(opts.route_by);
+  refresh_read_attrs();
   if (pool_ == nullptr) {
     owned_pool_ = std::make_unique<util::ThreadPool>(0);
     pool_ = owned_pool_.get();
@@ -91,6 +114,7 @@ QueryId ShardedEngine::register_query(Query query, Listener listener) {
       (void)got;
     }
   }
+  refresh_read_attrs();
   return id;
 }
 
@@ -100,7 +124,16 @@ bool ShardedEngine::remove_query(QueryId id) {
   for (auto& shard : shards_) {
     removed = shard->remove_query(id) || removed;
   }
+  refresh_read_attrs();
   return removed;
+}
+
+void ShardedEngine::refresh_read_attrs() {
+  read_attrs_ = shards_.front()->read_attrs();
+  if (read_attrs_.size() <= route_slot_) {
+    read_attrs_.resize(route_slot_ + 1);
+  }
+  read_attrs_[route_slot_] = true;
 }
 
 std::size_t ShardedEngine::query_count() const { return shards_.front()->query_count(); }
@@ -152,31 +185,6 @@ void ShardedEngine::push_batch(const EventBatch& batch) {
   }
 }
 
-void ShardedEngine::push(const Event& event) {
-  convert_scratch_.reset(event.time, streams_->intern(event.type));
-  for (const std::string& name : event.attrs.attribute_names()) {
-    const classad::Value v = event.attrs.evaluate(name);
-    const Slot slot = attrs_->intern(name);
-    switch (v.type()) {
-      case classad::Value::Type::kBool:
-        convert_scratch_.set_bool(slot, v.as_bool());
-        break;
-      case classad::Value::Type::kInt:
-        convert_scratch_.set_int(slot, v.as_int());
-        break;
-      case classad::Value::Type::kReal:
-        convert_scratch_.set_real(slot, v.as_real());
-        break;
-      case classad::Value::Type::kString:
-        convert_scratch_.set_string(slot, v.as_string());
-        break;
-      default:
-        break;
-    }
-  }
-  push_slotted(convert_scratch_);
-}
-
 void ShardedEngine::flush() {
   if (!has_pending_) {
     return;
@@ -203,46 +211,34 @@ void ShardedEngine::advance_to(sim::SimTime now) {
   }
 }
 
-std::vector<Engine::RawGroup> ShardedEngine::merged_raw(QueryId id, GroupOrder order) {
+std::vector<Engine::RawGroup> ShardedEngine::merged_raw(QueryId id) {
   flush();
-  std::vector<Engine::RawGroup> merged;
+  std::vector<Engine::RawGroup> all;
   const Query* q = shards_.front()->query(id);
   if (q == nullptr) {
-    return merged;
+    return all;
   }
-  std::unordered_map<std::string, std::size_t> index;
   for (auto& shard : shards_) {
-    for (Engine::RawGroup& g : shard->raw_snapshot(id)) {
-      const auto [it, inserted] = index.emplace(g.key, merged.size());
-      if (inserted) {
-        merged.push_back(std::move(g));
-        continue;
-      }
-      Engine::RawGroup& dst = merged[it->second];
-      dst.count += g.count;
-      for (std::size_t i = 0; i < q->select.size(); ++i) {
-        Engine::RawAggregate& a = dst.aggs[i];
-        const Engine::RawAggregate& b = g.aggs[i];
-        a.sum += b.sum;
-        a.non_null += b.non_null;
-        if (b.has_extreme) {
-          if (!a.has_extreme) {
-            a.extreme = b.extreme;
-            a.has_extreme = true;
-          } else if (q->select[i].kind == Aggregate::Kind::kMin) {
-            a.extreme = std::min(a.extreme, b.extreme);
-          } else {
-            a.extreme = std::max(a.extreme, b.extreme);
-          }
-        }
-      }
-    }
+    std::vector<Engine::RawGroup> groups = shard->raw_snapshot(id);
+    std::move(groups.begin(), groups.end(), std::back_inserter(all));
   }
-  if (order == GroupOrder::kSorted) {
-    std::sort(merged.begin(), merged.end(), [](const Engine::RawGroup& a,
-                                               const Engine::RawGroup& b) {
-      return a.key < b.key;
-    });
+  // Sorting brings one key's per-shard parts together: compare_rendered is
+  // zero exactly for equal typed keys (shards intern text separately, so
+  // keys compare by value, never by id). Ties keep shard order, so parts
+  // fold in shard order.
+  std::vector<std::uint32_t> order(all.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const int c = compare_rendered(all[a].key, all[b].key);
+    return c != 0 ? c < 0 : a < b;
+  });
+  std::vector<Engine::RawGroup> merged;
+  for (const std::uint32_t i : order) {
+    if (!merged.empty() && compare_rendered(merged.back().key, all[i].key) == 0) {
+      merge_aggs(*q, merged.back(), all[i]);
+    } else {
+      merged.push_back(std::move(all[i]));
+    }
   }
   return merged;
 }
@@ -262,49 +258,30 @@ std::vector<ResultRow> ShardedEngine::snapshot(QueryId id) {
 }
 
 void ShardedEngine::for_each_group_count(QueryId id, const GroupCountVisitor& fn,
-                                         GroupOrder order) {
-  // With kSorted, merged_raw sums per-shard counts and sorts by joined key,
-  // so the visit order and counts are byte-identical to the scalar
-  // engine's. kUnordered skips the sort and visits in merge order.
-  for (const Engine::RawGroup& g : merged_raw(id, order)) {
-    fn(g.key_values, g.count);
+                                         GroupOrder /*order*/) {
+  // Counts add across shards, and the merge leaves groups in kSorted order
+  // (a valid kUnordered order too), so visits match the scalar engine's.
+  for (const Engine::RawGroup& g : merged_raw(id)) {
+    fn(g.key, g.count);
   }
 }
 
-std::optional<ResultRow> ShardedEngine::group_row(QueryId id,
-                                                  const std::vector<std::string>& key) {
+std::optional<ResultRow> ShardedEngine::group_row(QueryId id, std::span<const KeyValue> key) {
   flush();
   const Query* q = shards_.front()->query(id);
   if (q == nullptr) {
     return std::nullopt;
   }
-  const std::string joined = Engine::join_key(key);
   std::optional<Engine::RawGroup> merged;
   for (auto& shard : shards_) {
-    std::optional<Engine::RawGroup> g = shard->raw_group(id, joined);
+    std::optional<Engine::RawGroup> g = shard->raw_group(id, key);
     if (!g) {
       continue;
     }
     if (!merged) {
       merged = std::move(g);
-      continue;
-    }
-    merged->count += g->count;
-    for (std::size_t i = 0; i < q->select.size(); ++i) {
-      Engine::RawAggregate& a = merged->aggs[i];
-      const Engine::RawAggregate& b = g->aggs[i];
-      a.sum += b.sum;
-      a.non_null += b.non_null;
-      if (b.has_extreme) {
-        if (!a.has_extreme) {
-          a.extreme = b.extreme;
-          a.has_extreme = true;
-        } else if (q->select[i].kind == Aggregate::Kind::kMin) {
-          a.extreme = std::min(a.extreme, b.extreme);
-        } else {
-          a.extreme = std::max(a.extreme, b.extreme);
-        }
-      }
+    } else {
+      merge_aggs(*q, *merged, *g);
     }
   }
   if (!merged) {

@@ -44,22 +44,23 @@ class ShardedEngine final : public EngineBase {
   ~ShardedEngine() override;
 
   using EngineBase::register_query;
+  using EngineBase::group_row;
   using EngineBase::for_each_group_count;
   QueryId register_query(Query query, Listener listener) override;
   bool remove_query(QueryId id) override;
-  void push(const Event& event) override;
   void push_slotted(const SlottedEvent& event) override;
   void push_batch(const EventBatch& batch) override;
   void advance_to(sim::SimTime now) override;
   [[nodiscard]] std::vector<ResultRow> snapshot(QueryId id) override;
-  [[nodiscard]] std::optional<ResultRow> group_row(
-      QueryId id, const std::vector<std::string>& key) override;
+  [[nodiscard]] std::optional<ResultRow> group_row(QueryId id,
+                                                   std::span<const KeyValue> key) override;
   void for_each_group_count(QueryId id, const GroupCountVisitor& fn,
                             GroupOrder order) override;
   [[nodiscard]] std::size_t query_count() const override;
   [[nodiscard]] std::uint64_t events_processed() const override { return events_; }
   [[nodiscard]] SymbolTable& attr_symbols() override { return *attrs_; }
   [[nodiscard]] SymbolTable& stream_symbols() override { return *streams_; }
+  [[nodiscard]] const std::vector<bool>& read_attrs() const override { return read_attrs_; }
   /// Flushes pending batches, then saves every shard in order (plus the
   /// aggregate event counter). Restore requires the same shard count.
   void save_state(snapshot::Writer& w) override;
@@ -77,10 +78,11 @@ class ShardedEngine final : public EngineBase {
 
  private:
   [[nodiscard]] std::size_t route(const SlottedEvent& e) const;
-  /// All shards' groups for `id`, merged by key; sorted by key when
-  /// `order` is kSorted, else left in merge order.
-  [[nodiscard]] std::vector<Engine::RawGroup> merged_raw(
-      QueryId id, GroupOrder order = GroupOrder::kSorted);
+  /// All shards' groups for `id`, merged on their typed keys, in kSorted
+  /// order. Key text views the shards' interners.
+  [[nodiscard]] std::vector<Engine::RawGroup> merged_raw(QueryId id);
+  /// Shard 0's read set plus the routing attribute.
+  void refresh_read_attrs();
 
   std::shared_ptr<SymbolTable> attrs_;
   std::shared_ptr<SymbolTable> streams_;
@@ -94,7 +96,7 @@ class ShardedEngine final : public EngineBase {
   std::size_t pending_count_{0};
   sim::SimTime pending_max_time_{};
   bool has_pending_{false};
-  SlottedEvent convert_scratch_;
+  std::vector<bool> read_attrs_;
 };
 
 }  // namespace erms::cep

@@ -71,6 +71,8 @@ class UnaryExpr final : public Expr {
   [[nodiscard]] Value evaluate(EvalContext& ctx) const override;
   [[nodiscard]] std::string unparse() const override;
 
+  [[nodiscard]] const ExprPtr& operand() const { return operand_; }
+
  private:
   UnaryOp op_;
   ExprPtr operand_;
@@ -117,6 +119,8 @@ class ConditionalExpr final : public Expr {
   [[nodiscard]] Value evaluate(EvalContext& ctx) const override;
   [[nodiscard]] std::string unparse() const override;
 
+  [[nodiscard]] std::vector<ExprPtr> children() const { return {cond_, then_, otherwise_}; }
+
  private:
   ExprPtr cond_;
   ExprPtr then_;
@@ -131,6 +135,8 @@ class FunctionCallExpr final : public Expr {
       : name_(std::move(name)), args_(std::move(args)) {}
   [[nodiscard]] Value evaluate(EvalContext& ctx) const override;
   [[nodiscard]] std::string unparse() const override;
+
+  [[nodiscard]] const std::vector<ExprPtr>& args() const { return args_; }
 
  private:
   std::string name_;

@@ -1,8 +1,10 @@
 #include "judge/feed.h"
 
 #include <algorithm>
-#include <charconv>
+#include <cctype>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "cep/epl_parser.h"
 #include "snapshot/codec.h"
@@ -11,54 +13,69 @@ namespace erms::judge {
 
 namespace {
 
+// The standing queries' `cmd` literals.
+constexpr std::string_view kOpen = "open";
+constexpr std::string_view kRead = "read";
+
 std::string window_clause(sim::SimDuration window) {
   return " WINDOW TIME " + std::to_string(window.seconds()) + "s";
 }
 
-/// Group keys render ints as decimal strings; parse one back to a FileId.
-/// Returns FileId{0} (never a valid id) for empty/garbage keys.
-hdfs::FileId parse_fid(const std::string& key) {
-  hdfs::FileId::rep_type v = 0;
-  std::from_chars(key.data(), key.data() + key.size(), v);
-  return hdfs::FileId{v};
+std::string count_query(std::string_view cmd, const char* group_by, sim::SimDuration window) {
+  return "SELECT count(*) AS n FROM audit WHERE cmd == \"" + std::string(cmd) +
+         "\" GROUP BY " + group_by + window_clause(window);
 }
 
-std::int64_t parse_i64(const std::string& key) {
-  std::int64_t v = 0;
-  std::from_chars(key.data(), key.data() + key.size(), v);
-  return v;
+/// Whether `cmd` matches the queries' `cmd == "<want>"`: ClassAd compares
+/// strings ignoring case, and T_a must agree with the windowed counts.
+bool cmd_is(std::string_view cmd, std::string_view want) {
+  return std::equal(cmd.begin(), cmd.end(), want.begin(), want.end(), [](char a, char b) {
+    return std::tolower(static_cast<unsigned char>(a)) == b;
+  });
 }
+
+/// A key component as a FileId; FileId{0} (never a valid id) unless it is a
+/// positive int in range.
+hdfs::FileId as_fid(const cep::KeyValue& v) {
+  if (v.kind != cep::KeyKind::kInt || v.i <= 0 ||
+      v.i > static_cast<std::int64_t>(std::numeric_limits<hdfs::FileId::rep_type>::max())) {
+    return hdfs::FileId{0};
+  }
+  return hdfs::FileId{static_cast<hdfs::FileId::rep_type>(v.i)};
+}
+
+bool is_int(const cep::KeyValue& v) { return v.kind == cep::KeyKind::kInt; }
 
 }  // namespace
 
 AccessStatsFeed::AccessStatsFeed(cep::EngineBase& engine, sim::SimDuration window)
     : engine_(engine),
       // The judge's standing queries, written in the engine's EPL. All
-      // grouping is by the interned fid — a short decimal key — instead of
-      // the path string.
-      file_query_(engine.register_query(cep::parse_epl(
-          "SELECT count(*) AS n FROM audit WHERE cmd == \"open\" GROUP BY fid" +
-          window_clause(window)))),
-      block_query_(engine.register_query(cep::parse_epl(
-          "SELECT count(*) AS n FROM audit WHERE cmd == \"read\" GROUP BY fid, blk" +
-          window_clause(window)))),
-      node_query_(engine.register_query(cep::parse_epl(
-          "SELECT count(*) AS n FROM audit WHERE cmd == \"read\" GROUP BY dn" +
-          window_clause(window)))),
-      file_node_query_(engine.register_query(cep::parse_epl(
-          "SELECT count(*) AS n FROM audit WHERE cmd == \"read\" GROUP BY fid, dn" +
-          window_clause(window)))),
-      slots_(audit::AuditSlots::resolve(engine.attr_symbols(), engine.stream_symbols())) {}
+      // grouping is by the interned fid — an int key word — instead of the
+      // path string.
+      file_query_(engine.register_query(cep::parse_epl(count_query(kOpen, "fid", window)))),
+      block_query_(
+          engine.register_query(cep::parse_epl(count_query(kRead, "fid, blk", window)))),
+      node_query_(engine.register_query(cep::parse_epl(count_query(kRead, "dn", window)))),
+      file_node_query_(
+          engine.register_query(cep::parse_epl(count_query(kRead, "fid, dn", window)))),
+      slots_(audit::AuditSlots::resolve(engine.attr_symbols(), engine.stream_symbols())) {
+  slots_.read = &engine.read_attrs();
+}
 
-void AccessStatsFeed::on_audit(const audit::AuditEvent& event) {
+void AccessStatsFeed::note_access(const audit::AuditEvent& event) {
   ++events_ingested_;
-  if (event.fid > 0 && (event.cmd == "open" || event.cmd == "read")) {
+  if (event.fid > 0 && (cmd_is(event.cmd, kOpen) || cmd_is(event.cmd, kRead))) {
     const auto idx = static_cast<std::size_t>(event.fid);
     if (last_access_.size() <= idx) {
       last_access_.resize(idx + 1);
     }
     last_access_[idx] = event.time;
   }
+}
+
+void AccessStatsFeed::on_audit(const audit::AuditEvent& event) {
+  note_access(event);
   event.to_slotted(slots_, scratch_);
   engine_.push_slotted(scratch_);
 }
@@ -75,14 +92,7 @@ void AccessStatsFeed::on_audit_batch(const audit::AuditEvent* events, std::size_
     batch_.clear();  // keeps the slotted events' capacity for reuse
     for (std::size_t i = 0; i < n; ++i) {
       const audit::AuditEvent& event = events[base + i];
-      ++events_ingested_;
-      if (event.fid > 0 && (event.cmd == "open" || event.cmd == "read")) {
-        const auto idx = static_cast<std::size_t>(event.fid);
-        if (last_access_.size() <= idx) {
-          last_access_.resize(idx + 1);
-        }
-        last_access_[idx] = event.time;
-      }
+      note_access(event);
       event.to_slotted(slots_, batch_.emplace_back());
     }
     engine_.push_batch(batch_);
@@ -92,7 +102,8 @@ void AccessStatsFeed::on_audit_batch(const audit::AuditEvent* events, std::size_
 void AccessStatsFeed::advance_to(sim::SimTime now) { engine_.advance_to(now); }
 
 std::uint64_t AccessStatsFeed::file_accesses(hdfs::FileId file) const {
-  const auto row = engine_.group_row(file_query_, {std::to_string(file.value())});
+  const auto row =
+      engine_.group_row(file_query_, {cep::KeyValue{static_cast<std::int64_t>(file.value())}});
   if (!row) {
     return 0;
   }
@@ -104,8 +115,8 @@ void AccessStatsFeed::for_each_file_access(
     cep::GroupOrder order) const {
   engine_.for_each_group_count(
       file_query_,
-      [&](const std::vector<std::string>& key, std::uint64_t n) {
-        const hdfs::FileId fid = parse_fid(key[0]);
+      [&](std::span<const cep::KeyValue> key, std::uint64_t n) {
+        const hdfs::FileId fid = as_fid(key[0]);
         if (fid.value() != 0) {
           fn(fid, n);
         }
@@ -118,10 +129,10 @@ void AccessStatsFeed::for_each_block_access(
     cep::GroupOrder order) const {
   engine_.for_each_group_count(
       block_query_,
-      [&](const std::vector<std::string>& key, std::uint64_t n) {
-        const hdfs::FileId fid = parse_fid(key[0]);
-        if (fid.value() != 0 && !key[1].empty()) {
-          fn(fid, parse_i64(key[1]), n);
+      [&](std::span<const cep::KeyValue> key, std::uint64_t n) {
+        const hdfs::FileId fid = as_fid(key[0]);
+        if (fid.value() != 0 && is_int(key[1])) {
+          fn(fid, key[1].i, n);
         }
       },
       order);
@@ -130,9 +141,9 @@ void AccessStatsFeed::for_each_block_access(
 void AccessStatsFeed::for_each_node_access(
     const std::function<void(std::int64_t, std::uint64_t)>& fn) const {
   engine_.for_each_group_count(
-      node_query_, [&](const std::vector<std::string>& key, std::uint64_t n) {
-        if (!key[0].empty()) {
-          fn(parse_i64(key[0]), n);
+      node_query_, [&](std::span<const cep::KeyValue> key, std::uint64_t n) {
+        if (is_int(key[0])) {
+          fn(key[0].i, n);
         }
       });
 }
@@ -140,10 +151,10 @@ void AccessStatsFeed::for_each_node_access(
 void AccessStatsFeed::for_each_file_node_access(
     const std::function<void(hdfs::FileId, std::int64_t, std::uint64_t)>& fn) const {
   engine_.for_each_group_count(
-      file_node_query_, [&](const std::vector<std::string>& key, std::uint64_t n) {
-        const hdfs::FileId fid = parse_fid(key[0]);
-        if (fid.value() != 0 && !key[1].empty()) {
-          fn(fid, parse_i64(key[1]), n);
+      file_node_query_, [&](std::span<const cep::KeyValue> key, std::uint64_t n) {
+        const hdfs::FileId fid = as_fid(key[0]);
+        if (fid.value() != 0 && is_int(key[1])) {
+          fn(fid, key[1].i, n);
         }
       });
 }
@@ -151,14 +162,10 @@ void AccessStatsFeed::for_each_file_node_access(
 void AccessStatsFeed::for_each_file_access_on_node(
     std::int64_t datanode,
     const std::function<void(hdfs::FileId, std::uint64_t)>& fn) const {
-  const std::string want = std::to_string(datanode);
   engine_.for_each_group_count(
-      file_node_query_, [&](const std::vector<std::string>& key, std::uint64_t n) {
-        if (key[1] != want) {
-          return;
-        }
-        const hdfs::FileId fid = parse_fid(key[0]);
-        if (fid.value() != 0) {
+      file_node_query_, [&](std::span<const cep::KeyValue> key, std::uint64_t n) {
+        const hdfs::FileId fid = as_fid(key[0]);
+        if (fid.value() != 0 && is_int(key[1]) && key[1].i == datanode) {
           fn(fid, n);
         }
       });

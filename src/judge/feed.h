@@ -23,9 +23,9 @@ namespace erms::judge {
 /// engine" pipeline assembled (§III.C).
 ///
 /// Grouping is by the audit records' interned `fid` (dense 32-bit FileId),
-/// not the path string, so group keys stay short whatever the path length,
-/// and readers iterate the engine's group state via callbacks instead of
-/// materialising a fresh map per judge sweep.
+/// not the path string, so every group key is one or two int words that the
+/// readers get back typed, and readers iterate the engine's group state via
+/// callbacks instead of materialising a fresh map per judge sweep.
 class AccessStatsFeed {
  public:
   /// Works against any EngineBase — the scalar Engine or a ShardedEngine
@@ -96,12 +96,16 @@ class AccessStatsFeed {
   void load_state(snapshot::Reader& r);
 
  private:
+  /// Count the record and, for a file access, stamp its T_a.
+  void note_access(const audit::AuditEvent& event);
+
   cep::EngineBase& engine_;
   cep::QueryId file_query_;
   cep::QueryId block_query_;
   cep::QueryId node_query_;
   cep::QueryId file_node_query_;
-  audit::AuditSlots slots_;      // audit attrs resolved once against engine_
+  audit::AuditSlots slots_;      // audit attrs resolved once against engine_,
+                                 // filtered by its read set
   cep::SlottedEvent scratch_;    // reused per on_audit: no steady-state allocs
   cep::EventBatch batch_;        // reused per on_audit_batch: ditto
   std::vector<sim::SimTime> last_access_;  // dense, indexed by FileId

@@ -50,7 +50,7 @@ std::uint32_t crc32(const void* data, std::size_t size);
 // ---------------------------------------------------------------------------
 
 inline constexpr char kMagic[8] = {'E', 'R', 'M', 'S', 'N', 'A', 'P', '\0'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Serializes one snapshot file: primitives append to a growing buffer,
 /// sections frame component payloads with tag/length/CRC.

@@ -213,6 +213,30 @@ TEST(Engine, MultipleQueriesIndependent) {
   EXPECT_EQ(engine.events_processed(), 2u);
 }
 
+TEST(Engine, StringKeyTextsAreReleasedWithTheirGroups) {
+  // A high-churn string group-by: every event names a fresh user, so the
+  // key-text interner must shrink back as groups leave the window.
+  Engine engine;
+  const QueryId id = engine.register_query(count_by_user(10.0));
+  Query by_both = count_by_user(20.0);
+  by_both.group_by = {"user", "host"};
+  const QueryId both = engine.register_query(std::move(by_both));
+  for (int i = 0; i < 500; ++i) {
+    engine.push(ev(i * 0.1, "req").with_string("user", "u" + std::to_string(i % 200))
+                    .with_string("host", "h" + std::to_string(i % 3)));
+  }
+  EXPECT_EQ(engine.key_text_count(), 203u);
+  engine.advance_to(sim::SimTime{62'000'000});  // only `both` still holds groups
+  EXPECT_TRUE(engine.snapshot(id).empty());
+  EXPECT_FALSE(engine.snapshot(both).empty());
+  EXPECT_TRUE(engine.remove_query(both));
+  EXPECT_EQ(engine.key_text_count(), 0u);
+  engine.push(ev(100.0, "req").with_string("user", "u7"));
+  EXPECT_EQ(engine.key_text_count(), 1u);
+  engine.advance_to(sim::SimTime{200'000'000});
+  EXPECT_EQ(engine.key_text_count(), 0u);
+}
+
 // ---------- EPL parser ----------
 
 TEST(Epl, ParsesFullStatement) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <random>
 #include <string>
@@ -330,6 +332,294 @@ TEST(CepSharded, RegisterAndRemoveFanOut) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].values.get_int("n"), 1);
   EXPECT_TRUE(engine.snapshot(a).empty());
+}
+
+// ---------- typed group keys vs a brute-force recount ----------
+
+/// A group key as the oracle sees it: each component's kind and rendering.
+using OracleKey = std::vector<std::pair<KeyKind, std::string>>;
+
+OracleKey oracle_key(const Event& e, const std::vector<std::string>& group_by) {
+  OracleKey key;
+  for (const std::string& attr : group_by) {
+    const classad::Value v = e.attrs.evaluate(attr);
+    switch (v.type()) {
+      case classad::Value::Type::kInt:
+        key.emplace_back(KeyKind::kInt, std::to_string(v.as_int()));
+        break;
+      case classad::Value::Type::kReal: {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%g", v.as_real());
+        key.emplace_back(KeyKind::kReal, buf);
+        break;
+      }
+      case classad::Value::Type::kString:
+        key.emplace_back(KeyKind::kString, v.as_string());
+        break;
+      case classad::Value::Type::kBool:
+        key.emplace_back(KeyKind::kBool, v.as_bool() ? "true" : "false");
+        break;
+      default:
+        key.emplace_back(KeyKind::kAbsent, "");
+        break;
+    }
+  }
+  return key;
+}
+
+OracleKey engine_key(std::span<const KeyValue> key) {
+  OracleKey out;
+  for (const KeyValue& v : key) {
+    std::string text;
+    append_rendered(text, v);
+    out.emplace_back(v.kind, text);
+  }
+  return out;
+}
+
+/// A key's renderings joined with '\x1f': kSorted follows this text's byte
+/// order.
+std::string joined(const OracleKey& key) {
+  std::string out;
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    out += (i == 0 ? "" : "\x1f") + key[i].second;
+  }
+  return out;
+}
+
+/// Events over every key kind: an absent `blk` on some reads, negative ints
+/// and an absent first component in (a, b), strings (`user`, `cmd`, `src`),
+/// reals that collide once rendered (`k`), and an int 5 beside a string "5"
+/// (`m`).
+std::vector<Event> make_keyed_workload(std::uint32_t seed, int n) {
+  std::mt19937 rng{seed};
+  std::vector<Event> events;
+  std::int64_t t_us = 0;
+  const char* cmds[] = {"open", "read", "write"};
+  const char* users[] = {"alice", "bob", "10", "2", ""};
+  const double reals[] = {0.5, -3.25, 1.0000001, 1.0000002, 1e-7, 250000.0};
+  for (int i = 0; i < n; ++i) {
+    t_us += static_cast<std::int64_t>(rng() % 400'000);
+    Event e{sim::SimTime{t_us}, "s"};
+    e.with_string("cmd", cmds[rng() % 3]);
+    e.with_int("fid", static_cast<std::int64_t>(1 + rng() % 12));
+    if (rng() % 4 != 0) {
+      e.with_int("blk", static_cast<std::int64_t>(100 + rng() % 3));
+    }
+    if (rng() % 3 != 0) {
+      e.with_int("a", static_cast<std::int64_t>(rng() % 11) - 5);
+    }
+    e.with_int("b", static_cast<std::int64_t>(rng() % 7) - 3);
+    e.with_string("user", users[rng() % 5]);
+    e.with_real("k", reals[rng() % 6]);
+    e.with_string("src", "/d/f" + std::to_string(rng() % 15));
+    e.with_int("dn", static_cast<std::int64_t>(rng() % 6));
+    switch (rng() % 3) {
+      case 0:
+        e.with_int("m", 5);
+        break;
+      case 1:
+        e.with_string("m", "5");
+        break;
+      default:
+        break;
+    }
+    events.push_back(std::move(e));
+  }
+  return events;
+}
+
+struct KeyedQuery {
+  std::string epl;
+  bool reads_only;  // WHERE cmd == "read"
+};
+
+std::vector<KeyedQuery> keyed_queries() {
+  return {
+      {"SELECT count(*) AS n FROM s WHERE cmd == \"read\" GROUP BY fid, blk WINDOW TIME 5s",
+       true},
+      {"SELECT count(*) AS n FROM s GROUP BY a, b WINDOW TIME 7s", false},
+      {"SELECT count(*) AS n FROM s GROUP BY user WINDOW TIME 4s", false},
+      {"SELECT count(*) AS n FROM s GROUP BY k WINDOW TIME 6s", false},
+      {"SELECT count(*) AS n FROM s GROUP BY cmd WINDOW TIME 5s", false},
+      {"SELECT count(*) AS n FROM s GROUP BY src, dn WINDOW TIME 3s", false},
+      {"SELECT count(*) AS n FROM s GROUP BY m WINDOW TIME 5s", false},
+  };
+}
+
+/// Push the workload, and at every checkpoint recount each query's window
+/// from the raw events: the typed groups, their counts, both visit orders,
+/// and the snapshot rows must all agree with the recount.
+void check_keyed_recount(EngineBase& engine, std::uint32_t seed) {
+  const std::vector<KeyedQuery> queries = keyed_queries();
+  std::vector<QueryId> ids;
+  std::vector<Query> parsed;
+  for (const KeyedQuery& q : queries) {
+    parsed.push_back(parse_epl(q.epl));
+    ids.push_back(engine.register_query(parse_epl(q.epl)));
+  }
+  const std::vector<Event> events = make_keyed_workload(seed, 1500);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    engine.push(events[i]);
+    if ((i + 1) % 250 != 0) {
+      continue;
+    }
+    const sim::SimTime now = events[i].time;
+    engine.advance_to(now);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(queries[q].epl + " at event " + std::to_string(i));
+      std::map<OracleKey, std::uint64_t> want;
+      for (std::size_t j = 0; j <= i; ++j) {
+        const Event& e = events[j];
+        if (e.time <= now - parsed[q].window.duration) {
+          continue;
+        }
+        if (queries[q].reads_only && e.attrs.get_string("cmd") != "read") {
+          continue;
+        }
+        ++want[oracle_key(e, parsed[q].group_by)];
+      }
+      std::map<OracleKey, std::uint64_t> sorted;
+      std::vector<OracleKey> order;
+      engine.for_each_group_count(ids[q], [&](std::span<const KeyValue> key, std::uint64_t n) {
+        order.push_back(engine_key(key));
+        sorted[order.back()] = n;
+      });
+      EXPECT_EQ(sorted, want);
+      ASSERT_EQ(order.size(), want.size()) << "a group was visited twice";
+      for (std::size_t k = 1; k < order.size(); ++k) {
+        EXPECT_LE(joined(order[k - 1]), joined(order[k]))
+            << "kSorted must follow the joined renderings' byte order";
+      }
+      std::map<OracleKey, std::uint64_t> unordered;
+      engine.for_each_group_count(
+          ids[q],
+          [&](std::span<const KeyValue> key, std::uint64_t n) { unordered[engine_key(key)] = n; },
+          GroupOrder::kUnordered);
+      EXPECT_EQ(unordered, want);
+      const std::vector<ResultRow> rows = engine.snapshot(ids[q]);
+      ASSERT_EQ(rows.size(), order.size());
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        for (std::size_t c = 0; c < parsed[q].group_by.size(); ++c) {
+          EXPECT_EQ(rows[k].values.get_string(parsed[q].group_by[c]), order[k][c].second);
+        }
+        EXPECT_EQ(rows[k].values.get_int("n"), static_cast<std::int64_t>(sorted[order[k]]));
+      }
+    }
+  }
+}
+
+class TypedKeyRecount : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(TypedKeyRecount, ScalarEngine) {
+  Engine engine;
+  check_keyed_recount(engine, GetParam());
+}
+
+TEST_P(TypedKeyRecount, ShardedEngine) {
+  ShardedEngineOptions opts;
+  opts.shards = 3;
+  opts.batch_events = 16;
+  ShardedEngine engine{opts};
+  check_keyed_recount(engine, GetParam());
+}
+
+TEST_P(TypedKeyRecount, OneShardBatchedPipeline) {
+  // One shard, 64-event batches: every event runs through push_batch's
+  // software pipeline, string and real keys included.
+  ShardedEngineOptions opts;
+  opts.shards = 1;
+  opts.batch_events = 64;
+  ShardedEngine engine{opts};
+  check_keyed_recount(engine, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TypedKeyRecount, ::testing::Values(1u, 2u, 3u));
+
+TEST(TypedKeys, SortedVisitOrdersDecimalTextNotValue) {
+  // kSorted orders keys by their decimal text, "10" before "2", on both
+  // engines — check_node_overload's first-strictly-greater pick relies on it.
+  ShardedEngineOptions opts;
+  opts.shards = 4;
+  Engine scalar;
+  ShardedEngine sharded{opts};
+  for (EngineBase* engine : std::initializer_list<EngineBase*>{&scalar, &sharded}) {
+    const QueryId id = engine->register_query(
+        parse_epl("SELECT count(*) AS n FROM s GROUP BY fid WINDOW TIME 60s"));
+    for (const std::int64_t fid : {2, 10, 1, -3, 10}) {
+      Event e{sim::SimTime{1000}, "s"};
+      e.with_int("fid", fid).with_string("src", "/f" + std::to_string(fid));
+      engine->push(e);
+    }
+    std::vector<std::int64_t> order;
+    std::vector<std::uint64_t> counts;
+    engine->for_each_group_count(id, [&](std::span<const KeyValue> key, std::uint64_t n) {
+      order.push_back(key[0].i);
+      counts.push_back(n);
+    });
+    EXPECT_EQ(order, (std::vector<std::int64_t>{-3, 1, 10, 2}));
+    EXPECT_EQ(counts, (std::vector<std::uint64_t>{1, 1, 2, 1}));
+  }
+}
+
+TEST(TypedKeys, IntAndStringRenderingAlikeAreDifferentGroups) {
+  // Groups key on (kind, value): int 5 and string "5" stay apart although
+  // both render as "5".
+  Engine engine;
+  const QueryId id =
+      engine.register_query(parse_epl("SELECT count(*) AS n FROM s GROUP BY m WINDOW TIME 60s"));
+  engine.push(Event{sim::SimTime{1}, "s"}.with_int("m", 5));
+  engine.push(Event{sim::SimTime{2}, "s"}.with_string("m", "5"));
+  engine.push(Event{sim::SimTime{3}, "s"}.with_int("m", 5));
+  engine.push(Event{sim::SimTime{4}, "s"});  // m absent
+  const std::vector<ResultRow> rows = engine.snapshot(id);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].values.get_string("m"), "");  // absent renders empty, sorts first
+  EXPECT_EQ(rows[1].values.get_string("m"), "5");
+  EXPECT_EQ(rows[2].values.get_string("m"), "5");
+  EXPECT_EQ(engine.group_row(id, {5})->values.get_int("n"), 2);
+  EXPECT_EQ(engine.group_row(id, {"5"})->values.get_int("n"), 1);
+  EXPECT_EQ(engine.group_row(id, {KeyValue{}})->values.get_int("n"), 1);
+  EXPECT_FALSE(engine.group_row(id, {6}).has_value());
+}
+
+TEST(TypedKeys, RemoveAndReRegisterRecyclesSlots) {
+  // Two queries share one 10 s window; removing one mid-stream and
+  // registering another that joins the same window must leave every
+  // survivor exactly where a fresh engine fed the same events would be.
+  const std::string by_user = "SELECT count(*) AS n FROM s GROUP BY user WINDOW TIME 10s";
+  const std::string by_src = "SELECT count(*) AS n FROM s GROUP BY src, dn WINDOW TIME 10s";
+  const std::vector<Event> events = make_keyed_workload(9, 1200);
+  Engine engine;
+  Engine whole;  // sees every event, by_user only
+  Engine late;   // sees the events after the swap, by_src only
+  const QueryId doomed = engine.register_query(parse_epl(by_src));
+  const QueryId kept = engine.register_query(parse_epl(by_user));
+  const QueryId whole_id = whole.register_query(parse_epl(by_user));
+  QueryId fresh{};
+  QueryId late_id{};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i == 600) {
+      ASSERT_TRUE(engine.remove_query(doomed));
+      fresh = engine.register_query(parse_epl(by_src));
+      late_id = late.register_query(parse_epl(by_src));
+    }
+    engine.push(events[i]);
+    whole.push(events[i]);
+    if (i >= 600) {
+      late.push(events[i]);
+    }
+    if (i % 150 == 149) {
+      EXPECT_EQ(render(engine.snapshot(kept)), render(whole.snapshot(whole_id))) << i;
+      if (i >= 600) {
+        EXPECT_EQ(render(engine.snapshot(fresh)), render(late.snapshot(late_id))) << i;
+      }
+    }
+  }
+  engine.advance_to(events.back().time + sim::seconds(60.0));
+  EXPECT_TRUE(engine.snapshot(kept).empty());
+  EXPECT_TRUE(engine.snapshot(fresh).empty());
+  EXPECT_TRUE(engine.snapshot(doomed).empty());
 }
 
 }  // namespace

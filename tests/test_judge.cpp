@@ -4,6 +4,7 @@
 
 #include "audit/audit.h"
 #include "cep/engine.h"
+#include "cep/epl_parser.h"
 #include "hdfs/types.h"
 #include "judge/feed.h"
 #include "judge/judge.h"
@@ -297,6 +298,52 @@ TEST(Feed, EventsWithoutFidCarryNoPerFileState) {
   EXPECT_EQ(feed.events_ingested(), 1u);
   EXPECT_TRUE(feed.active_files().empty());
   EXPECT_EQ(feed.last_access(hdfs::FileId{7}), sim::SimTime{0});
+}
+
+TEST(Feed, LastAccessFollowsTheQueriesCaseInsensitiveCmd) {
+  // The standing queries' `cmd == "open"` is a ClassAd string compare, which
+  // ignores case; T_a must count exactly the records the window counts.
+  cep::Engine engine;
+  AccessStatsFeed feed{engine, sim::seconds(60.0)};
+  audit::AuditEvent open = audit_open(4.0, 1);
+  open.cmd = "OPEN";
+  audit::AuditEvent read = audit_read(6.0, 2, 20, 0);
+  read.cmd = "Read";
+  feed.on_audit(open);
+  feed.on_audit_batch(&read, 1);
+  EXPECT_EQ(feed.file_accesses(kFileA), 1u);
+  EXPECT_EQ(feed.last_access(kFileA), sim::SimTime{4'000'000});
+  EXPECT_EQ(feed.last_access(kFileB), sim::SimTime{6'000'000});
+
+  audit::AuditEvent other = audit_open(8.0, 1);
+  other.cmd = "opened";  // neither counted nor an access
+  feed.on_audit(other);
+  EXPECT_EQ(feed.file_accesses(kFileA), 1u);
+  EXPECT_EQ(feed.last_access(kFileA), sim::SimTime{4'000'000});
+}
+
+TEST(Feed, FillsOnlyAttributesSomeQueryReads) {
+  cep::Engine engine;
+  AccessStatsFeed feed{engine, sim::seconds(60.0)};
+  const std::vector<bool>& read = engine.read_attrs();
+  const auto reads = [&](const char* attr) {
+    const cep::Slot s = engine.attr_symbols().find(attr);
+    return s != cep::kNoSlot && s < read.size() && read[s];
+  };
+  for (const char* attr : {"cmd", "fid", "blk", "dn"}) {
+    EXPECT_TRUE(reads(attr)) << attr;
+  }
+  for (const char* attr : {"ugi", "ip", "src", "dst", "allowed"}) {
+    EXPECT_FALSE(reads(attr)) << attr;
+  }
+  // A query registered later widens the read set, and the feed fills it.
+  const cep::QueryId by_src = engine.register_query(cep::parse_epl(
+      "SELECT count(*) AS n FROM audit GROUP BY src WINDOW TIME 60s"));
+  EXPECT_TRUE(reads("src"));
+  feed.on_audit(audit_open(1.0, 1));
+  EXPECT_TRUE(engine.group_row(by_src, {"/f1"}).has_value());
+  EXPECT_TRUE(engine.remove_query(by_src));
+  EXPECT_FALSE(reads("src"));
 }
 
 /// End-to-end: feed counts + judge formulas produce the expected verdict.

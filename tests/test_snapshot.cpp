@@ -139,8 +139,21 @@ struct TinyWorld {
     cluster = std::make_unique<Cluster>(sim, topo, cfg);
     erms = std::make_unique<core::ErmsManager>(*cluster, std::vector<NodeId>{NodeId{5}},
                                                soak_erms());
-    (void)cluster->populate_file("/tiny/a", 64 * MiB, 2);
+    file = cluster->populate_file("/tiny/a", 64 * MiB, 2).value();
   }
+
+  /// Serve a few reads and stop inside the judge's window, so the CEP
+  /// engine section carries live groups and window entries.
+  void serve_reads() {
+    erms->start();  // wires the audit stream to the judge's feed
+    for (std::uint32_t client = 0; client < 3; ++client) {
+      cluster->read_file(NodeId{client}, file, [](const hdfs::ReadOutcome&) {});
+    }
+    sim.run_until(sim::SimTime{sim::seconds(5.0).micros()});
+    cluster->flush_audit();
+  }
+
+  hdfs::FileId file{0};
 
   [[nodiscard]] snapshot::WorldParts parts() {
     return snapshot::WorldParts{&sim, cluster.get(), erms.get(), nullptr, nullptr};
@@ -270,10 +283,32 @@ TEST(SnapshotResume, SaveRestoreSaveIsIdentity) {
 // zero mutation of the live world.
 // ---------------------------------------------------------------------------
 
+TEST(SnapshotResume, SaveRestoreSaveIsIdentityWithLiveCepState) {
+  const auto block_reads = [](TinyWorld& w) {
+    std::uint64_t total = 0;
+    w.erms->feed().for_each_block_access(
+        [&](hdfs::FileId, std::int64_t, std::uint64_t n) { total += n; });
+    return total;
+  };
+  TinyWorld a;
+  a.serve_reads();
+  ASSERT_GT(block_reads(a), 0u);
+  const std::string bytes = snapshot::save_world_bytes(a.parts());
+
+  TinyWorld b;
+  const snapshot::SnapshotResult err = snapshot::restore_world_bytes(bytes, b.parts());
+  ASSERT_FALSE(err.has_value()) << err->to_string();
+  EXPECT_EQ(block_reads(b), block_reads(a));
+  EXPECT_EQ(snapshot::save_world_bytes(b.parts()), bytes);
+}
+
 class SnapshotFuzz : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The donor holds live CEP state, so the corruptions below also land in
+    // the engine section's groups, key texts and window ring.
     donor_ = std::make_unique<TinyWorld>();
+    donor_->serve_reads();
     bytes_ = snapshot::save_world_bytes(donor_->parts());
     victim_ = std::make_unique<TinyWorld>();
     baseline_ = snapshot::save_world_bytes(victim_->parts());
