@@ -19,10 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "ec/codec.h"
 #include "ec/codec_registry.h"
 #include "ec/gf256.h"
 #include "ec/gf_region.h"
-#include "ec/reed_solomon.h"
 #include "ec/stripe_codec.h"
 #include "util/thread_pool.h"
 
@@ -31,13 +31,13 @@ namespace {
 using erms::ec::GF256;
 using erms::ec::KernelKind;
 using erms::ec::MulTable;
-using erms::ec::ReedSolomon;
+using erms::ec::RsCodec;
 using erms::ec::StripeCodec;
 using erms::util::ThreadPool;
 
-std::vector<ReedSolomon::Shard> random_shards(std::size_t count, std::size_t len) {
+std::vector<RsCodec::Shard> random_shards(std::size_t count, std::size_t len) {
   std::mt19937 rng{42};
-  std::vector<ReedSolomon::Shard> shards(count);
+  std::vector<RsCodec::Shard> shards(count);
   for (auto& s : shards) {
     s.resize(len);
     for (auto& b : s) {
@@ -74,7 +74,7 @@ double bench_muladd_kernel(KernelKind kind) {
 }
 
 /// MB/s (of data bytes) for RS(k,m) encode of 1 MiB shards.
-double bench_rs_encode(const ReedSolomon& rs, int reps) {
+double bench_rs_encode(const RsCodec& rs, int reps) {
   const std::size_t shard_len = 1 << 20;
   const auto data = random_shards(rs.data_shards(), shard_len);
   auto warm = rs.encode(data);
@@ -125,7 +125,7 @@ void kernel_sweep(std::FILE* json) {
   const Shape shapes[] = {{1, 4, "rs1+4"}, {6, 4, "rs6_4"}, {8, 4, "rs8_4"}};
   first = true;
   for (const Shape& s : shapes) {
-    ReedSolomon rs(s.k, s.m);
+    RsCodec rs(s.k, s.m);
     const double mbs = bench_rs_encode(rs, 32);
     std::printf("  RS(%zu,%zu) %10.1f MB/s\n", s.k, s.m, mbs);
     std::fprintf(json, "%s\"%s\": %.1f", first ? "" : ", ", s.name, mbs);
@@ -212,7 +212,7 @@ BENCHMARK(BM_GfMultiply);
 void BM_RsEncode(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const std::size_t shard_len = 1 << 20;  // 1 MiB shards
-  ReedSolomon rs(k, 4);
+  RsCodec rs(k, 4);
   const auto data = random_shards(k, shard_len);
   for (auto _ : state) {
     auto parity = rs.encode(data);
@@ -227,7 +227,7 @@ void BM_RsEncodeThreaded(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
   const std::size_t shard_len = 1 << 20;
-  ReedSolomon rs(k, 4);
+  RsCodec rs(k, 4);
   ThreadPool pool(threads);
   rs.set_thread_pool(&pool);
   const auto data = random_shards(k, shard_len);
@@ -243,10 +243,10 @@ BENCHMARK(BM_RsEncodeThreaded)->Args({8, 2})->Args({8, 4});
 void BM_RsReconstructFourErasures(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const std::size_t shard_len = 1 << 20;
-  ReedSolomon rs(k, 4);
+  RsCodec rs(k, 4);
   const auto data = random_shards(k, shard_len);
   auto parity = rs.encode(data);
-  std::vector<ReedSolomon::Shard> full = data;
+  std::vector<RsCodec::Shard> full = data;
   full.insert(full.end(), parity.begin(), parity.end());
   for (auto _ : state) {
     auto shards = full;

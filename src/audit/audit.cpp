@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -240,7 +241,16 @@ std::optional<AuditEvent> AuditLogParser::parse_line(std::string_view line) {
     } else if (key == "dn") {
       event.datanode = parse_i64(value);
     } else if (key == "fid") {
-      event.fid = parse_i64(value);
+      // A FileId is 32 bits wide: a fid outside [0, 2^32 - 1] (overflow
+      // included) names no file, so the record is rejected rather than
+      // clamped. Garbage still reads as 0 (unknown), like blk= and dn=.
+      std::int64_t fid = 0;
+      const auto res = std::from_chars(value.data(), value.data() + value.size(), fid);
+      if (res.ec == std::errc::result_out_of_range || fid < 0 ||
+          fid > std::int64_t{std::numeric_limits<std::uint32_t>::max()}) {
+        return std::nullopt;
+      }
+      event.fid = fid;
     }
   }
   if (!saw_cmd || !saw_field) {

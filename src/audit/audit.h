@@ -81,7 +81,8 @@ struct AuditEvent {
 /// records into events for CEP system" (§III.C).
 class AuditLogParser {
  public:
-  /// Parse one line; nullopt if the line is not an audit record.
+  /// Parse one line; nullopt if the line is not an audit record or its
+  /// `fid=` lies outside FileId's range [0, 2^32 - 1].
   [[nodiscard]] static std::optional<AuditEvent> parse_line(std::string_view line);
 
   /// Parse a whole log (lines separated by '\n'), skipping non-audit lines.

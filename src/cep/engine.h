@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cep/compiled_query.h"
+#include "cep/event.h"
 #include "cep/group_key.h"
 #include "cep/query.h"
 #include "cep/slotted_event.h"

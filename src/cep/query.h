@@ -3,8 +3,9 @@
 #include <string>
 #include <vector>
 
-#include "classad/expr.h"
 #include "cep/window.h"
+#include "classad/classad.h"
+#include "classad/expr.h"
 
 namespace erms::cep {
 

@@ -1,17 +1,16 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <functional>
 
-#include "cep/event.h"
 #include "sim/time.h"
 
 namespace erms::cep {
 
 /// Sliding-window specification — the paper singles these out as "the major
 /// features of CEP systems" (§II): a time window keeps events from the last
-/// `duration`; a length window keeps the last `count` events.
+/// `duration`, i.e. (now − duration, now], so an event exactly `duration`
+/// old has left it; a length window keeps the last `count` events and
+/// ignores the clock.
 struct WindowSpec {
   enum class Kind { kTime, kLength };
   Kind kind{Kind::kTime};
@@ -30,37 +29,6 @@ struct WindowSpec {
     w.count = n;
     return w;
   }
-};
-
-/// A sliding window over a stream. Insertion is append-only (event times must
-/// be non-decreasing, which the simulation guarantees); eviction calls the
-/// given hook so aggregates can be decremented incrementally.
-class SlidingWindow {
- public:
-  using EvictFn = std::function<void(const Event&)>;
-
-  explicit SlidingWindow(WindowSpec spec) : spec_(spec) {}
-
-  /// Append an event, then evict anything that falls out of the window.
-  /// The by-value overload moves; pass a const reference to copy exactly
-  /// once, or an rvalue to store with no copy at all.
-  void push(Event&& event, const EvictFn& on_evict);
-  void push(const Event& event, const EvictFn& on_evict) {
-    push(Event{event}, on_evict);
-  }
-
-  /// Evict events older than `now - duration` (time windows only; length
-  /// windows evict on push). Called when time advances without new events.
-  void evict_until(sim::SimTime now, const EvictFn& on_evict);
-
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-  [[nodiscard]] const std::deque<Event>& events() const { return events_; }
-  [[nodiscard]] const WindowSpec& spec() const { return spec_; }
-
- private:
-  WindowSpec spec_;
-  std::deque<Event> events_;
 };
 
 }  // namespace erms::cep

@@ -59,9 +59,6 @@ ErmsManager::ErmsManager(hdfs::Cluster& cluster, std::vector<hdfs::NodeId> stand
     : cluster_(cluster),
       config_(config),
       log_(logger),
-      codec_pool_(config.codec_threads),
-      codec_(std::max<std::size_t>(1, config.data_shards),
-             std::max<std::uint32_t>(1, config.parity_count)),
       engine_(make_judge_engine(config)),
       feed_(*engine_, config.thresholds.window),
       judge_(config.thresholds),
@@ -74,7 +71,6 @@ ErmsManager::ErmsManager(hdfs::Cluster& cluster, std::vector<hdfs::NodeId> stand
       placement_(std::make_shared<ErmsPlacementPolicy>(
           std::set<hdfs::NodeId>(standby_pool.begin(), standby_pool.end()),
           cluster.config().default_replication)) {
-  codec_.set_thread_pool(&codec_pool_);
   if (config_.observe) {
     obs_ = std::make_unique<obs::Observability>(config_.trace_capacity);
     cluster_.set_observability(obs_.get());

@@ -12,7 +12,7 @@
 #include "condor/scheduler.h"
 #include "core/erms_placement.h"
 #include "core/standby.h"
-#include "ec/stripe_codec.h"
+#include "ec/codec_registry.h"
 #include "hdfs/cluster.h"
 #include "judge/feed.h"
 #include "judge/judge.h"
@@ -34,12 +34,9 @@ struct ErmsConfig {
   /// Reed–Solomon parities for cold data (paper §IV.B: "a replication
   /// factor of one and four coding parities").
   std::uint32_t parity_count = 4;
-  /// Data shards per stripe for the byte-level codec backing cold
-  /// conversions (HDFS-RAID's customary k for RS).
-  std::size_t data_shards = 8;
-  /// Worker threads for the byte-level erasure codec; 0 means one per
-  /// hardware thread. The pool splits large shards into sub-ranges coded
-  /// concurrently so a cold-conversion backlog drains at disk speed.
+  /// Read by nothing: the manager owns no byte-level codec and no pool for
+  /// one. Kept only because the benchmark harness assigns it; it goes when
+  /// that assignment does.
   std::size_t codec_threads = 0;
   /// Erasure code per temperature band, by registry name ("rs",
   /// "azure_lrc", "hh_xor_plus" — see docs/EC_CODECS.md). A file the judge
@@ -172,13 +169,6 @@ class ErmsManager {
   [[nodiscard]] judge::AccessStatsFeed& feed() { return feed_; }
   [[nodiscard]] const ErmsConfig& config() const { return config_; }
 
-  /// The byte-level Reed–Solomon codec the erasure actions run cold files
-  /// through, pre-wired to the manager's worker pool. Embedders that move
-  /// real bytes (archive tools, block servers) should use this instance so
-  /// conversions share one pool instead of spawning threads per file.
-  [[nodiscard]] ec::StripeCodec& stripe_codec() { return codec_; }
-  [[nodiscard]] util::ThreadPool& codec_pool() { return codec_pool_; }
-
   /// Latest classification for one file (updated each evaluation).
   /// kNormal for files the judge has never evaluated.
   [[nodiscard]] judge::DataType current_type(hdfs::FileId file) const {
@@ -288,8 +278,6 @@ class ErmsManager {
   // Declared before the instrumented members (standby_, scheduler_) so the
   // bundle outlives them.
   std::unique_ptr<obs::Observability> obs_;
-  util::ThreadPool codec_pool_;
-  ec::StripeCodec codec_;
   std::unique_ptr<cep::EngineBase> engine_;  // scalar or sharded per config
   judge::AccessStatsFeed feed_;
   judge::DataJudge judge_;

@@ -12,8 +12,8 @@ namespace erms::ec {
 
 namespace {
 
-/// Sub-range size for pool-parallel region work (same tuning as
-/// ReedSolomon: amortizes dispatch, keeps a chunk's rows cache-resident).
+/// Sub-range size for pool-parallel region work: amortizes dispatch and
+/// keeps a chunk's rows cache-resident.
 constexpr std::size_t kChunkBytes = 64 * 1024;
 constexpr std::size_t kParallelMinBytes = 2 * kChunkBytes;
 

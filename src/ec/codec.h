@@ -131,7 +131,7 @@ class ErasureCodec {
 /// encode, reconstruct, generic planning and plan-driven repair all fall
 /// out of linear algebra on G:
 ///  - encode applies the parity rows with cached per-entry MulTables,
-///    chunked across an optional ThreadPool (same scheme as ReedSolomon);
+///    chunked across an optional ThreadPool (see apply_rows);
 ///  - reconstruct greedily picks k·s independent surviving cell rows and
 ///    inverts them (works for every recoverable pattern of every code);
 ///  - plan_repair adds surviving shards in index order until the lost
@@ -198,9 +198,9 @@ class LinearCodec : public ErasureCodec {
   util::ThreadPool* pool_{nullptr};
 };
 
-/// Reed–Solomon as a LinearCodec: the systematic Vandermonde construction
-/// (identical matrix to the standalone ReedSolomon class), s = 1. MDS: any
-/// k of the k+m shards reconstruct everything, so the repair plan is the
+/// Reed–Solomon as a LinearCodec — the paper's cold-file code (§IV.B): the
+/// systematic Vandermonde construction (systematic_rs_matrix), s = 1. MDS:
+/// any k of the k+m shards reconstruct everything, so the repair plan is the
 /// first k present shards in data-then-parity order — byte-for-byte the
 /// helper set the cluster's legacy RS recovery used.
 class RsCodec final : public LinearCodec {

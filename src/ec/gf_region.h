@@ -23,7 +23,7 @@ namespace erms::ec {
 enum class KernelKind : std::uint8_t { kScalar, kTable, kSsse3, kAvx2 };
 
 /// Per-coefficient multiplication tables, computed once per matrix entry and
-/// reused across the whole region (and across encode calls — ReedSolomon
+/// reused across the whole region (and across encode calls — LinearCodec
 /// caches one per parity-matrix entry).
 struct MulTable {
   alignas(16) std::uint8_t lo[16];  // f * x          for x in [0,16)

@@ -32,11 +32,7 @@ class StripeCodec {
 
   /// Borrow a pool for multi-threaded coding; nullptr reverts to serial.
   /// The pool must outlive every encode/decode call.
-  void set_thread_pool(util::ThreadPool* pool) {
-    pool_ = pool;
-    codec_->set_thread_pool(pool);
-  }
-  [[nodiscard]] util::ThreadPool* thread_pool() const { return pool_; }
+  void set_thread_pool(util::ThreadPool* pool) { codec_->set_thread_pool(pool); }
 
   struct Stripe {
     std::vector<ErasureCodec::Shard> shards;  // k data shards then m parity
@@ -65,7 +61,6 @@ class StripeCodec {
 
  private:
   std::unique_ptr<ErasureCodec> codec_;
-  util::ThreadPool* pool_{nullptr};
 };
 
 }  // namespace erms::ec

@@ -174,6 +174,21 @@ TEST(AuditParse, NonNumericExtensionParsesAsZero) {
   EXPECT_EQ(parsed->datanode, 9);
 }
 
+TEST(AuditParse, RejectsFidOutsideFileIdRange) {
+  const std::string prefix =
+      "2012-05-01 01:02:05,123 INFO FSNamesystem.audit: cmd=open src=/a fid=";
+  for (const char* fid :
+       {"4294967296", "-1", "9223372036854775807", "99999999999999999999"}) {
+    EXPECT_FALSE(AuditLogParser::parse_line(prefix + fid).has_value()) << "fid=" << fid;
+  }
+  const auto top = AuditLogParser::parse_line(prefix + "4294967295");
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->fid, 4294967295);
+  const auto zero = AuditLogParser::parse_line(prefix + "0");
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ(zero->fid, 0);
+}
+
 TEST(AuditParse, ParseReservesAndHandlesTrailingNewline) {
   std::string log;
   for (int i = 0; i < 100; ++i) {

@@ -14,45 +14,39 @@ Event ev(double t_seconds, const std::string& type) {
 
 // ---------- windows ----------
 
-TEST(Window, TimeWindowEvictsOldEvents) {
-  SlidingWindow w{WindowSpec::time(sim::seconds(10.0))};
-  std::vector<double> evicted;
-  const auto on_evict = [&](const Event& e) { evicted.push_back(e.time.seconds()); };
-  w.push(ev(0.0, "a"), on_evict);
-  w.push(ev(5.0, "a"), on_evict);
-  w.push(ev(11.0, "a"), on_evict);  // evicts t=0 (0 <= 11-10... boundary)
-  EXPECT_EQ(evicted, (std::vector<double>{0.0}));
-  EXPECT_EQ(w.size(), 2u);
+Query sum_of_v(WindowSpec window) {
+  Query q;
+  q.from = "a";
+  q.select = {Aggregate{Aggregate::Kind::kCount, "", "n"},
+              Aggregate{Aggregate::Kind::kSum, "v", "sum"}};
+  q.window = window;
+  return q;
 }
 
-TEST(Window, TimeWindowBoundaryInclusiveEviction) {
-  // An event exactly `duration` old is evicted (window is (now-d, now]).
-  SlidingWindow w{WindowSpec::time(sim::seconds(10.0))};
-  int evictions = 0;
-  const auto on_evict = [&](const Event&) { ++evictions; };
-  w.push(ev(0.0, "a"), on_evict);
-  w.evict_until(sim::SimTime{10'000'000}, on_evict);
-  EXPECT_EQ(evictions, 1);
-  EXPECT_TRUE(w.empty());
+TEST(Window, TimeWindowEvictsOldEvents) {
+  Engine engine;
+  const QueryId id = engine.register_query(sum_of_v(WindowSpec::time(sim::seconds(10.0))));
+  for (const double t : {0.0, 5.0, 11.0}) {
+    engine.push(ev(t, "a").with_real("v", t));
+  }
+  // t=11 pushes t=0 out of (1, 11]; t=5 stays.
+  const auto rows = engine.snapshot(id);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].values.get_int("n"), 2);
+  EXPECT_DOUBLE_EQ(*rows[0].values.get_real("sum"), 16.0);
 }
 
 TEST(Window, LengthWindowKeepsLastN) {
-  SlidingWindow w{WindowSpec::length(3)};
-  int evictions = 0;
-  const auto on_evict = [&](const Event&) { ++evictions; };
+  Engine engine;
+  const QueryId id = engine.register_query(sum_of_v(WindowSpec::length(3)));
   for (int i = 0; i < 5; ++i) {
-    w.push(ev(i, "a"), on_evict);
+    engine.push(ev(i, "a").with_real("v", i));
   }
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_EQ(evictions, 2);
-  EXPECT_DOUBLE_EQ(w.events().front().time.seconds(), 2.0);
-}
-
-TEST(Window, LengthWindowIgnoresEvictUntil) {
-  SlidingWindow w{WindowSpec::length(10)};
-  w.push(ev(0.0, "a"), nullptr);
-  w.evict_until(sim::SimTime{100'000'000}, nullptr);
-  EXPECT_EQ(w.size(), 1u);
+  // The last three pushes (v = 2, 3, 4) remain.
+  const auto rows = engine.snapshot(id);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].values.get_int("n"), 3);
+  EXPECT_DOUBLE_EQ(*rows[0].values.get_real("sum"), 9.0);
 }
 
 // ---------- engine ----------
@@ -96,6 +90,36 @@ TEST(Engine, AdvanceToEvictsWithoutEvents) {
   engine.push(ev(0.0, "req").with_string("user", "alice"));
   engine.advance_to(sim::SimTime{30'000'000});
   EXPECT_TRUE(engine.snapshot(id).empty());  // group removed at count 0
+}
+
+TEST(Window, TimeWindowBoundaryInclusiveEviction) {
+  // A time window holds (now - duration, now]: one microsecond short of
+  // `duration` the event still counts, at exactly `duration` it is gone.
+  Engine engine;
+  const QueryId id = engine.register_query(count_by_user(10.0));
+  engine.push(ev(0.0, "req").with_string("user", "alice"));
+  engine.advance_to(sim::SimTime{9'999'999});
+  const auto row = engine.group_row(id, {"alice"});
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->values.get_int("n"), 1);
+  engine.advance_to(sim::SimTime{10'000'000});
+  EXPECT_TRUE(engine.snapshot(id).empty());
+}
+
+TEST(Window, LengthWindowIgnoresEvictUntil) {
+  // Advancing the clock evicts from time windows only; a length window
+  // keeps its events however far the clock moves.
+  Query q;
+  q.from = "m";
+  q.select = {Aggregate{Aggregate::Kind::kCount, "", "n"}};
+  q.window = WindowSpec::length(10);
+  Engine engine;
+  const QueryId id = engine.register_query(std::move(q));
+  engine.push(ev(0.0, "m"));
+  engine.advance_to(sim::SimTime{100'000'000});
+  const auto rows = engine.snapshot(id);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].values.get_int("n"), 1);
 }
 
 TEST(Engine, WhereFilters) {

@@ -2,9 +2,9 @@
 
 #include <random>
 
+#include "ec/codec.h"
 #include "ec/gf256.h"
 #include "ec/matrix.h"
-#include "ec/reed_solomon.h"
 #include "ec/stripe_codec.h"
 
 namespace erms::ec {
@@ -159,10 +159,10 @@ TEST(Matrix, ZeroDimensionThrows) { EXPECT_THROW(Matrix(0, 3), std::invalid_argu
 
 // ---------- Reed-Solomon ----------
 
-std::vector<ReedSolomon::Shard> random_shards(std::size_t count, std::size_t len,
-                                              unsigned seed) {
+std::vector<RsCodec::Shard> random_shards(std::size_t count, std::size_t len,
+                                          unsigned seed) {
   std::mt19937 rng{seed};
-  std::vector<ReedSolomon::Shard> shards(count);
+  std::vector<RsCodec::Shard> shards(count);
   for (auto& s : shards) {
     s.resize(len);
     for (auto& b : s) {
@@ -173,14 +173,14 @@ std::vector<ReedSolomon::Shard> random_shards(std::size_t count, std::size_t len
 }
 
 TEST(ReedSolomon, RejectsBadParameters) {
-  EXPECT_THROW(ReedSolomon(0, 4), std::invalid_argument);
-  EXPECT_THROW(ReedSolomon(4, 0), std::invalid_argument);
-  EXPECT_THROW(ReedSolomon(200, 100), std::invalid_argument);
+  EXPECT_THROW(RsCodec(0, 4), std::invalid_argument);
+  EXPECT_THROW(RsCodec(4, 0), std::invalid_argument);
+  EXPECT_THROW(RsCodec(200, 100), std::invalid_argument);
 }
 
 TEST(ReedSolomon, SystematicTopIsIdentity) {
-  ReedSolomon rs(5, 3);
-  const Matrix& e = rs.encoding_matrix();
+  RsCodec rs(5, 3);
+  const Matrix& e = rs.generator();
   for (std::size_t r = 0; r < 5; ++r) {
     for (std::size_t c = 0; c < 5; ++c) {
       EXPECT_EQ(e.at(r, c), r == c ? 1 : 0);
@@ -189,14 +189,14 @@ TEST(ReedSolomon, SystematicTopIsIdentity) {
 }
 
 TEST(ReedSolomon, VerifyAcceptsEncodeOutput) {
-  ReedSolomon rs(6, 4);
+  RsCodec rs(6, 4);
   const auto data = random_shards(6, 256, 10);
   const auto parity = rs.encode(data);
   EXPECT_TRUE(rs.verify(data, parity));
 }
 
 TEST(ReedSolomon, VerifyRejectsCorruption) {
-  ReedSolomon rs(6, 4);
+  RsCodec rs(6, 4);
   const auto data = random_shards(6, 256, 11);
   auto parity = rs.encode(data);
   parity[2][17] ^= 0x40;
@@ -204,17 +204,17 @@ TEST(ReedSolomon, VerifyRejectsCorruption) {
 }
 
 TEST(ReedSolomon, RejectsUnequalShardLengths) {
-  ReedSolomon rs(3, 2);
+  RsCodec rs(3, 2);
   auto data = random_shards(3, 64, 12);
   data[1].resize(63);
   EXPECT_THROW(rs.encode(data), std::invalid_argument);
 }
 
 TEST(ReedSolomon, ReconstructFailsBelowK) {
-  ReedSolomon rs(4, 2);
+  RsCodec rs(4, 2);
   auto data = random_shards(4, 64, 13);
   auto parity = rs.encode(data);
-  std::vector<ReedSolomon::Shard> shards = data;
+  std::vector<RsCodec::Shard> shards = data;
   shards.insert(shards.end(), parity.begin(), parity.end());
   std::vector<bool> present(6, false);
   present[0] = present[1] = present[2] = true;  // only 3 of k=4
@@ -228,10 +228,10 @@ class RsErasureTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(RsErasureTest, AllErasurePatternsUpToM) {
   const std::size_t k = GetParam();
   const std::size_t m = 4;  // the paper's parity count
-  ReedSolomon rs(k, m);
+  RsCodec rs(k, m);
   const auto data = random_shards(k, 128, static_cast<unsigned>(20 + k));
   const auto parity = rs.encode(data);
-  std::vector<ReedSolomon::Shard> original = data;
+  std::vector<RsCodec::Shard> original = data;
   original.insert(original.end(), parity.begin(), parity.end());
   const std::size_t total = k + m;
 
@@ -241,7 +241,7 @@ TEST_P(RsErasureTest, AllErasurePatternsUpToM) {
     if (erased == 0 || erased > static_cast<int>(m)) {
       continue;
     }
-    std::vector<ReedSolomon::Shard> shards = original;
+    std::vector<RsCodec::Shard> shards = original;
     std::vector<bool> present(total, true);
     for (std::size_t i = 0; i < total; ++i) {
       if (mask & (1u << i)) {
@@ -265,15 +265,15 @@ class RsParityTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(RsParityTest, ToleratesExactlyMLosses) {
   const std::size_t m = GetParam();
   const std::size_t k = 6;
-  ReedSolomon rs(k, m);
+  RsCodec rs(k, m);
   const auto data = random_shards(k, 64, static_cast<unsigned>(90 + m));
   const auto parity = rs.encode(data);
-  std::vector<ReedSolomon::Shard> original = data;
+  std::vector<RsCodec::Shard> original = data;
   original.insert(original.end(), parity.begin(), parity.end());
 
   // Losing the first m shards is recoverable...
   {
-    std::vector<ReedSolomon::Shard> shards = original;
+    std::vector<RsCodec::Shard> shards = original;
     std::vector<bool> present(k + m, true);
     for (std::size_t i = 0; i < m; ++i) {
       present[i] = false;
@@ -286,7 +286,7 @@ TEST_P(RsParityTest, ToleratesExactlyMLosses) {
   }
   // ...losing m+1 is not.
   {
-    std::vector<ReedSolomon::Shard> shards = original;
+    std::vector<RsCodec::Shard> shards = original;
     std::vector<bool> present(k + m, true);
     for (std::size_t i = 0; i <= m && i < k + m; ++i) {
       present[i] = false;
@@ -302,10 +302,10 @@ INSTANTIATE_TEST_SUITE_P(ParityCounts, RsParityTest,
 TEST(ReedSolomon, PaperConfiguration) {
   // §IV.B: "a replication factor of one and four coding parities" — RS(k,4)
   // tolerates any 4 shard losses.
-  ReedSolomon rs(10, 4);
+  RsCodec rs(10, 4);
   auto data = random_shards(10, 64, 42);
   auto parity = rs.encode(data);
-  std::vector<ReedSolomon::Shard> shards = data;
+  std::vector<RsCodec::Shard> shards = data;
   shards.insert(shards.end(), parity.begin(), parity.end());
   std::vector<bool> present(14, true);
   // Lose 4 shards: 2 data, 2 parity.

@@ -8,9 +8,9 @@
 #include <random>
 #include <vector>
 
+#include "ec/codec.h"
 #include "ec/gf256.h"
 #include "ec/gf_region.h"
-#include "ec/reed_solomon.h"
 #include "ec/stripe_codec.h"
 #include "util/thread_pool.h"
 
@@ -18,8 +18,9 @@ namespace {
 
 using erms::ec::GF256;
 using erms::ec::KernelKind;
+using erms::ec::Matrix;
 using erms::ec::MulTable;
-using erms::ec::ReedSolomon;
+using erms::ec::RsCodec;
 using erms::ec::StripeCodec;
 using erms::util::ThreadPool;
 
@@ -158,8 +159,8 @@ TEST(ReedSolomonKernels, EncodeMatchesNaiveReference) {
   for (const Shape s : kShapes) {
     for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{129},
                                   std::size_t{65 * 1024 + 13}}) {
-      ReedSolomon rs(s.k, s.m);
-      std::vector<ReedSolomon::Shard> data(s.k);
+      RsCodec rs(s.k, s.m);
+      std::vector<RsCodec::Shard> data(s.k);
       for (std::size_t i = 0; i < s.k; ++i) {
         data[i] = random_bytes(len, static_cast<std::uint32_t>(100 * s.k + i));
       }
@@ -171,7 +172,7 @@ TEST(ReedSolomonKernels, EncodeMatchesNaiveReference) {
         for (std::size_t i = 0; i < len; ++i) {
           std::uint8_t want = 0;
           for (std::size_t c = 0; c < s.k; ++c) {
-            want ^= GF256::mul(rs.encoding_matrix().at(s.k + r, c), data[c][i]);
+            want ^= GF256::mul(rs.generator().at(s.k + r, c), data[c][i]);
           }
           ASSERT_EQ(parity[r][i], want)
               << "k=" << s.k << " m=" << s.m << " row=" << r << " i=" << i;
@@ -185,9 +186,9 @@ TEST(ReedSolomonKernels, EncodeMatchesNaiveReference) {
 TEST(ReedSolomonKernels, ReconstructAllShapes) {
   std::mt19937 rng{77};
   for (const Shape s : kShapes) {
-    ReedSolomon rs(s.k, s.m);
+    RsCodec rs(s.k, s.m);
     const std::size_t len = 4096 + 17;
-    std::vector<ReedSolomon::Shard> data(s.k);
+    std::vector<RsCodec::Shard> data(s.k);
     for (std::size_t i = 0; i < s.k; ++i) {
       data[i] = random_bytes(len, static_cast<std::uint32_t>(7 * s.k + i));
     }
@@ -212,12 +213,61 @@ TEST(ReedSolomonKernels, ReconstructAllShapes) {
   }
 }
 
+std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// FNV-1a digests of RsCodec's generator (row-major bytes) and of the parity
+// of a fixed-seed 1000-byte input, per shape. They were recorded when a
+// differential test showed RsCodec equal, entry for entry and byte for byte,
+// to an independent RS implementation at every shape here, so a change to
+// systematic_rs_matrix or to the encode path fails this test.
+struct PinnedShape {
+  std::size_t k;
+  std::size_t m;
+  std::uint64_t generator;
+  std::uint64_t parity;
+};
+const PinnedShape kPinned[] = {
+    {1, 4, 0x6f6202b6f92d1e48ull, 0xca6c017f0ecda265ull},
+    {6, 4, 0xd61863dcf2aeb0e9ull, 0x356e49563b45cce0ull},
+    {8, 4, 0x778ece6bc321e967ull, 0xe048b732daf0a007ull},
+    {4, 2, 0x68d118d028ee8a1dull, 0x65c5a3b483eabd63ull},
+    {5, 4, 0x890e5b446fc72e34ull, 0x4aef4a98c711e3b2ull},
+    {16, 4, 0xde5a02ae37db0089ull, 0x25afd0cf6854bc3eull},
+    {10, 4, 0xcc7df5bd9736f557ull, 0xe7c2cf6e50b0a5fbull},
+};
+
+TEST(RsCodecPin, GeneratorAndParityDigests) {
+  for (const PinnedShape& s : kPinned) {
+    const RsCodec rs(s.k, s.m);
+    const Matrix& gen = rs.generator();
+    std::uint64_t g = 0xcbf29ce484222325ull;
+    for (std::size_t r = 0; r < gen.rows(); ++r) {
+      g = fnv1a(g, gen.row(r), gen.cols());
+    }
+    EXPECT_EQ(g, s.generator) << "k=" << s.k << " m=" << s.m;
+
+    std::vector<RsCodec::Shard> data(s.k);
+    for (std::size_t i = 0; i < s.k; ++i) {
+      data[i] = random_bytes(1000, static_cast<std::uint32_t>(1000 * s.k + i));
+    }
+    std::uint64_t p = 0xcbf29ce484222325ull;
+    for (const auto& shard : rs.encode(data)) {
+      p = fnv1a(p, shard.data(), shard.size());
+    }
+    EXPECT_EQ(p, s.parity) << "k=" << s.k << " m=" << s.m;
+  }
+}
+
 TEST(StripeCodecThreaded, MatchesSerialBitForBit) {
   ThreadPool pool(4);
   StripeCodec serial(8, 4);
   StripeCodec threaded(8, 4);
   threaded.set_thread_pool(&pool);
-  ASSERT_EQ(threaded.thread_pool(), &pool);
 
   // Large enough that the parallel path engages (>= 2 chunks per shard) and
   // not a multiple of k, so the tail shard is zero-padded.

@@ -300,6 +300,23 @@ TEST(Feed, EventsWithoutFidCarryNoPerFileState) {
   EXPECT_EQ(feed.last_access(hdfs::FileId{7}), sim::SimTime{0});
 }
 
+TEST(Feed, ParsedLogWithOutOfRangeFidsFeedsWithoutThrowing) {
+  // The parser drops fids past FileId's 32 bits. Fed through, fid 2^63 - 1
+  // would make note_access grow its table to fid + 1 entries and throw
+  // std::length_error.
+  const std::string log =
+      "2012-05-01 00:00:01,000 INFO FSNamesystem.audit: cmd=open src=/a fid=9223372036854775807\n"
+      "2012-05-01 00:00:02,000 INFO FSNamesystem.audit: cmd=open src=/b fid=4294967296\n"
+      "2012-05-01 00:00:03,000 INFO FSNamesystem.audit: cmd=open src=/c fid=1\n";
+  const auto events = audit::AuditLogParser::parse(log);
+  cep::Engine engine;
+  AccessStatsFeed feed{engine, sim::seconds(60.0)};
+  EXPECT_NO_THROW(feed.on_audit_batch(events.data(), events.size()));
+  EXPECT_EQ(events.size(), 1u);
+  EXPECT_EQ(feed.file_accesses(kFileA), 1u);
+  EXPECT_EQ(feed.last_access(kFileA), sim::SimTime{3'000'000});
+}
+
 TEST(Feed, LastAccessFollowsTheQueriesCaseInsensitiveCmd) {
   // The standing queries' `cmd == "open"` is a ClassAd string compare, which
   // ignores case; T_a must count exactly the records the window counts.

@@ -2,9 +2,11 @@
 // checks, parameterized over seeds and configuration axes.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <span>
 
-#include "cep/window.h"
+#include "cep/engine.h"
 #include "condor/scheduler.h"
 #include "core/erms_placement.h"
 #include "core/standby.h"
@@ -273,7 +275,7 @@ TEST_P(SchedulerChaos, EveryJobTerminatesAndReplayAgrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerChaos, ::testing::Values(5u, 15u, 25u, 35u));
 
-// ---------- sliding windows never hold out-of-window events ----------
+// ---------- CEP window counts equal a brute-force recount ----------
 
 class WindowInvariant : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -282,22 +284,42 @@ TEST_P(WindowInvariant, ContentsAlwaysInWindow) {
   const bool time_window = rng.chance(0.5);
   const double duration_s = rng.uniform_real(1.0, 30.0);
   const auto count = static_cast<std::size_t>(rng.uniform_int(1, 50));
-  cep::SlidingWindow window{time_window ? cep::WindowSpec::time(sim::seconds(duration_s))
-                                        : cep::WindowSpec::length(count)};
+  cep::Query q;
+  q.from = "s";
+  q.group_by = {"k"};
+  q.select = {cep::Aggregate{cep::Aggregate::Kind::kCount, "", "n"}};
+  q.window = time_window ? cep::WindowSpec::time(sim::seconds(duration_s))
+                         : cep::WindowSpec::length(count);
+  cep::Engine engine;
+  const cep::QueryId id = engine.register_query(std::move(q));
+
+  struct Pushed {
+    sim::SimTime time;
+    std::int64_t key;
+  };
+  std::vector<Pushed> pushed;
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
     t += rng.uniform_real(0.0, 2.0);
-    cep::Event e{sim::SimTime{static_cast<std::int64_t>(t * 1e6)}, "s"};
-    window.push(std::move(e), nullptr);
-    if (time_window) {
-      const sim::SimTime cutoff =
-          sim::SimTime{static_cast<std::int64_t>(t * 1e6)} - sim::seconds(duration_s);
-      for (const cep::Event& held : window.events()) {
-        EXPECT_GT(held.time, cutoff);
+    const sim::SimTime now{static_cast<std::int64_t>(t * 1e6)};
+    const auto key = static_cast<std::int64_t>(rng.uniform_int(0, 3));
+    engine.push(cep::Event{now, "s"}.with_int("k", key));
+    pushed.push_back({now, key});
+
+    // Recount from scratch: a time window holds (now - duration, now], a
+    // length window the last `count` events.
+    std::map<std::int64_t, std::uint64_t> want;
+    const sim::SimTime cutoff = now - sim::seconds(duration_s);
+    const std::size_t first = time_window ? 0 : pushed.size() - std::min(pushed.size(), count);
+    for (std::size_t j = first; j < pushed.size(); ++j) {
+      if (!time_window || pushed[j].time > cutoff) {
+        ++want[pushed[j].key];
       }
-    } else {
-      EXPECT_LE(window.size(), count);
     }
+    std::map<std::int64_t, std::uint64_t> got;
+    engine.for_each_group_count(
+        id, [&](std::span<const cep::KeyValue> k, std::uint64_t n) { got[k[0].i] = n; });
+    ASSERT_EQ(got, want) << "after event " << i;
   }
 }
 
