@@ -11,25 +11,15 @@ using hdfs::BlockId;
 using hdfs::Cluster;
 using hdfs::NodeId;
 
-ErmsPlacementPolicy::ErmsPlacementPolicy(std::set<NodeId> standby_pool,
+ErmsPlacementPolicy::ErmsPlacementPolicy(const std::set<NodeId>& standby_pool,
                                          std::uint32_t default_replication)
-    : standby_pool_(std::move(standby_pool)), default_replication_(default_replication) {}
-
-bool ErmsPlacementPolicy::eligible(const Cluster& cluster, BlockId block, NodeId node,
-                                   const std::vector<NodeId>& chosen) const {
-  const hdfs::DataNode& dn = cluster.node(node);
-  if (dn.state != hdfs::NodeState::kActive) {
-    return false;
+    : default_replication_(default_replication) {
+  if (!standby_pool.empty()) {
+    in_pool_.resize(standby_pool.rbegin()->value() + 1);
   }
-  if (cluster.node_has_block(node, block)) {
-    return false;
+  for (const NodeId n : standby_pool) {
+    in_pool_[n.value()] = true;
   }
-  const hdfs::BlockInfo* info = cluster.metadata().find_block(block);
-  const std::uint64_t need = info != nullptr ? info->size : 0;
-  if (dn.used_bytes + need > dn.config.capacity_bytes) {
-    return false;
-  }
-  return std::find(chosen.begin(), chosen.end(), node) == chosen.end();
 }
 
 std::vector<NodeId> ErmsPlacementPolicy::choose_targets(const Cluster& cluster, BlockId block,
@@ -40,22 +30,40 @@ std::vector<NodeId> ErmsPlacementPolicy::choose_targets(const Cluster& cluster, 
   if (info == nullptr || count == 0) {
     return {};
   }
+  const auto node_count = static_cast<std::uint32_t>(cluster.node_count());
+  std::vector<NodeId> chosen;
+  auto eligible = [&](NodeId n) {
+    return hdfs::eligible_target(cluster, block, info->size, n, chosen);
+  };
 
   // --- Coding blocks: the active (non-pool) node with the fewest blocks of
   // this file (Algorithm 1 lines 7-13).
   if (info->is_parity) {
-    std::vector<NodeId> chosen;
+    // Blocks (data and parity) of this file per node, counted once from the
+    // replica map: ~replication entries per block instead of one hash probe
+    // per block per node.
+    std::vector<std::uint32_t> file_blocks_on(node_count, 0);
+    if (const hdfs::FileInfo* file = cluster.metadata().find(info->file)) {
+      for (const auto* list : {&file->blocks, &file->parity_blocks}) {
+        for (const BlockId b : *list) {
+          for (const NodeId n : cluster.locations_view(b)) {
+            ++file_blocks_on[n.value()];
+          }
+        }
+      }
+    }
     while (chosen.size() < count) {
       // All active nodes tied for the fewest blocks of this file; pick one
       // at random so parities of different files do not pile up on the
       // lowest-numbered node.
       std::vector<NodeId> best;
-      std::size_t best_blocks = std::numeric_limits<std::size_t>::max();
-      for (const NodeId n : cluster.nodes()) {
-        if (in_standby_pool(n) || !eligible(cluster, block, n, chosen)) {
+      std::uint32_t best_blocks = std::numeric_limits<std::uint32_t>::max();
+      for (std::uint32_t i = 0; i < node_count; ++i) {
+        const NodeId n{i};
+        if (in_standby_pool(n) || !eligible(n)) {
           continue;
         }
-        const std::size_t file_blocks = cluster.file_blocks_on_node(info->file, n);
+        const std::uint32_t file_blocks = file_blocks_on[i];
         if (file_blocks < best_blocks) {
           best_blocks = file_blocks;
           best.clear();
@@ -76,8 +84,7 @@ std::vector<NodeId> ErmsPlacementPolicy::choose_targets(const Cluster& cluster, 
   // --- Data blocks (lines 14-37). The first r_D replicas follow the stock
   // rack-aware scheme restricted to non-pool nodes (lines 15-21); replicas
   // beyond r_D are hot extras and go standby-first (lines 22-35).
-  std::vector<NodeId> chosen;
-  const std::size_t current = cluster.locations(block).size();
+  const std::size_t current = cluster.locations_view(block).size();
   const std::size_t base_needed =
       current < default_replication_
           ? std::min<std::size_t>(count, default_replication_ - current)
@@ -85,8 +92,9 @@ std::vector<NodeId> ErmsPlacementPolicy::choose_targets(const Cluster& cluster, 
 
   auto pick = [&](auto&& filter) -> bool {
     std::vector<NodeId> candidates;
-    for (const NodeId n : cluster.nodes()) {
-      if (eligible(cluster, block, n, chosen) && filter(n)) {
+    for (std::uint32_t i = 0; i < node_count; ++i) {
+      const NodeId n{i};
+      if (filter(n) && eligible(n)) {
         candidates.push_back(n);
       }
     }
@@ -104,12 +112,12 @@ std::vector<NodeId> ErmsPlacementPolicy::choose_targets(const Cluster& cluster, 
   if (base_needed > 0) {
     const bool fresh_block = current == 0;
     if (fresh_block && chosen.empty() && writer && !in_standby_pool(*writer) &&
-        eligible(cluster, block, *writer, chosen)) {
+        eligible(*writer)) {
       chosen.push_back(*writer);
     }
     while (chosen.size() < base_needed) {
       std::set<std::uint32_t> used_racks;
-      for (const NodeId n : cluster.locations(block)) {
+      for (const NodeId n : cluster.locations_view(block)) {
         used_racks.insert(cluster.rack_of(n).value());
       }
       for (const NodeId n : chosen) {
@@ -140,7 +148,7 @@ std::vector<NodeId> ErmsPlacementPolicy::choose_targets(const Cluster& cluster, 
   // active nodes as the fallback (lines 29-35). Prefer pool nodes in racks
   // that already hold a replica.
   std::set<std::uint32_t> replica_racks;
-  for (const NodeId n : cluster.locations(block)) {
+  for (const NodeId n : cluster.locations_view(block)) {
     replica_racks.insert(cluster.rack_of(n).value());
   }
   for (const NodeId n : chosen) {
@@ -172,7 +180,7 @@ std::optional<NodeId> ErmsPlacementPolicy::choose_replica_to_remove(const Cluste
                                                                     sim::Rng& rng) const {
   // Deletion prefers standby-pool nodes (Algorithm 1 lines 39-51), so
   // dropping extra replicas leaves active nodes untouched.
-  const std::vector<NodeId> locs = cluster.locations(block);
+  const auto& locs = cluster.locations_view(block);
   for (const NodeId n : locs) {
     if (in_standby_pool(n)) {
       return n;

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <memory>
 #include <set>
+#include <vector>
 
 #include "hdfs/placement.h"
 
@@ -26,13 +26,11 @@ namespace erms::core {
 /// pool nodes only receive data while commissioned (serving).
 class ErmsPlacementPolicy final : public hdfs::PlacementPolicy {
  public:
-  explicit ErmsPlacementPolicy(std::set<hdfs::NodeId> standby_pool,
+  explicit ErmsPlacementPolicy(const std::set<hdfs::NodeId>& standby_pool,
                                std::uint32_t default_replication = 3);
 
-  void set_standby_pool(std::set<hdfs::NodeId> pool) { standby_pool_ = std::move(pool); }
-  [[nodiscard]] const std::set<hdfs::NodeId>& standby_pool() const { return standby_pool_; }
   [[nodiscard]] bool in_standby_pool(hdfs::NodeId node) const {
-    return standby_pool_.contains(node);
+    return node.value() < in_pool_.size() && in_pool_[node.value()];
   }
 
   [[nodiscard]] std::vector<hdfs::NodeId> choose_targets(const hdfs::Cluster& cluster,
@@ -47,11 +45,9 @@ class ErmsPlacementPolicy final : public hdfs::PlacementPolicy {
   [[nodiscard]] std::string name() const override { return "erms-algorithm1"; }
 
  private:
-  [[nodiscard]] bool eligible(const hdfs::Cluster& cluster, hdfs::BlockId block,
-                              hdfs::NodeId node,
-                              const std::vector<hdfs::NodeId>& chosen) const;
-
-  std::set<hdfs::NodeId> standby_pool_;
+  /// Standby-pool membership, dense by node id: placement tests it for
+  /// every candidate node of every pick.
+  std::vector<bool> in_pool_;
   std::uint32_t default_replication_;
   hdfs::DefaultPlacementPolicy default_policy_;
 };

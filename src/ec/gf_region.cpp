@@ -225,6 +225,11 @@ KernelKind active_kernel() {
 
 void mul_region(KernelKind kind, const MulTable& t, std::uint8_t* dst,
                 const std::uint8_t* src, std::size_t len) {
+  // An empty region may come with null pointers (an empty vector's data()),
+  // which memset/memcpy must not see even for zero bytes.
+  if (len == 0) {
+    return;
+  }
   if (t.factor == 0) {
     std::memset(dst, 0, len);
     return;
@@ -260,6 +265,9 @@ void mul_region(KernelKind kind, const MulTable& t, std::uint8_t* dst,
 
 void muladd_region(KernelKind kind, const MulTable& t, std::uint8_t* dst,
                    const std::uint8_t* src, std::size_t len) {
+  if (len == 0) {
+    return;
+  }
   if (t.factor == 0) {
     return;
   }

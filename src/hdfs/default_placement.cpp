@@ -6,28 +6,13 @@
 
 namespace erms::hdfs {
 
-namespace {
-
-/// Writable target test shared by the selection passes.
-bool eligible(const Cluster& cluster, BlockId block, NodeId node,
-              const std::vector<NodeId>& already_chosen) {
+bool eligible_target(const Cluster& cluster, BlockId block, std::uint64_t need, NodeId node,
+                     const std::vector<NodeId>& chosen) {
   const DataNode& dn = cluster.node(node);
-  if (dn.state != NodeState::kActive) {
-    return false;
-  }
-  if (cluster.node_has_block(node, block)) {
-    return false;
-  }
-  const BlockInfo* info = cluster.metadata().find_block(block);
-  const std::uint64_t need = info != nullptr ? info->size : 0;
-  if (dn.used_bytes + need > dn.config.capacity_bytes) {
-    return false;
-  }
-  return std::find(already_chosen.begin(), already_chosen.end(), node) ==
-         already_chosen.end();
+  return dn.state == NodeState::kActive && dn.used_bytes + need <= dn.config.capacity_bytes &&
+         std::find(chosen.begin(), chosen.end(), node) == chosen.end() &&
+         !cluster.locations_view(block).contains(node);
 }
-
-}  // namespace
 
 std::vector<NodeId> DefaultPlacementPolicy::choose_targets(const Cluster& cluster,
                                                            BlockId block, std::size_t count,
@@ -37,12 +22,16 @@ std::vector<NodeId> DefaultPlacementPolicy::choose_targets(const Cluster& cluste
   if (count == 0) {
     return chosen;
   }
-  const std::vector<NodeId> existing = cluster.locations(block);
+  const auto& existing = cluster.locations_view(block);
+  const BlockInfo* info = cluster.metadata().find_block(block);
+  const std::uint64_t need = info != nullptr ? info->size : 0;
+  auto eligible = [&](NodeId n) { return eligible_target(cluster, block, need, n, chosen); };
 
   auto pick_random = [&](auto&& filter) -> std::optional<NodeId> {
     std::vector<NodeId> pool;
-    for (const NodeId n : cluster.nodes()) {
-      if (eligible(cluster, block, n, chosen) && filter(n)) {
+    for (std::uint32_t i = 0; i < cluster.node_count(); ++i) {
+      const NodeId n{i};
+      if (filter(n) && eligible(n)) {
         pool.push_back(n);
       }
     }
@@ -72,7 +61,7 @@ std::vector<NodeId> DefaultPlacementPolicy::choose_targets(const Cluster& cluste
 
   // Replica 1: the writer's node when possible, otherwise random.
   if (fresh_block && chosen.size() < count) {
-    if (writer && eligible(cluster, block, *writer, chosen)) {
+    if (writer && eligible(*writer)) {
       chosen.push_back(*writer);
     } else if (const auto n = pick_random([](NodeId) { return true; })) {
       chosen.push_back(*n);
@@ -116,7 +105,7 @@ std::optional<NodeId> DefaultPlacementPolicy::choose_replica_to_remove(
   // HDFS removes from the node with the least free space.
   std::optional<NodeId> victim;
   std::uint64_t least_free = std::numeric_limits<std::uint64_t>::max();
-  for (const NodeId n : cluster.locations(block)) {
+  for (const NodeId n : cluster.locations_view(block)) {
     const DataNode& dn = cluster.node(n);
     const std::uint64_t free = dn.config.capacity_bytes - std::min(dn.config.capacity_bytes, dn.used_bytes);
     if (free < least_free) {

@@ -37,6 +37,13 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
+/// Writable-target test every policy shares: `node` is active, has room for
+/// `need` more bytes, is not in `chosen` yet and does not already hold
+/// `block`. The cheap tests run first; the replica test scans the block's
+/// few locations rather than hashing into the node's block set.
+[[nodiscard]] bool eligible_target(const Cluster& cluster, BlockId block, std::uint64_t need,
+                                   NodeId node, const std::vector<NodeId>& chosen);
+
 /// The stock HDFS rack-aware policy: first replica on the writer's node (or
 /// a random active node), second on a node in a different rack, third on a
 /// different node of that second rack, further replicas spread randomly

@@ -19,12 +19,15 @@ void read_file_with_retry(hdfs::Cluster& cluster, hdfs::NodeId client,
   auto rejected = std::make_shared<bool>(false);
   auto bytes = std::make_shared<std::uint64_t>(0);
   auto next = std::make_shared<std::function<void(std::size_t, std::uint32_t)>>();
+  // The step holds itself only weakly; the pending read or retry holds it
+  // strongly, so the chain is freed once the last block's callback is done.
   *next = [&cluster, client, blocks, rejected, bytes, backoff, max_retries, cb,
-           next](std::size_t i, std::uint32_t attempts) {
+           self = std::weak_ptr(next)](std::size_t i, std::uint32_t attempts) {
     if (i >= blocks->size()) {
       cb(true, *rejected, *bytes);
       return;
     }
+    const auto next = self.lock();
     cluster.read_block(client, (*blocks)[i],
                        [&cluster, client, blocks, rejected, bytes, backoff, max_retries,
                         cb, next, i, attempts](const hdfs::ReadOutcome& out) {

@@ -34,6 +34,7 @@ NetworkModel::NetworkModel(sim::Simulation& simulation, FabricSpec spec)
     links_.push_back(Link{spec_.rack_uplink_bw, spec_.rack_uplink_bw});
   }
   node_degradation_.assign(spec_.nodes.size(), 1.0);
+  link_state_.resize(links_.size());
 }
 
 FlowId NetworkModel::start_flow(std::size_t src, std::size_t dst, std::uint64_t bytes,
@@ -223,32 +224,51 @@ void NetworkModel::advance_progress() {
 void NetworkModel::rebalance() {
   // Progressive filling (max-min fairness): repeatedly find the most
   // constrained link, freeze its flows at the equal share, remove that
-  // capacity, and continue until every flow is frozen.
-  struct LinkState {
-    double remaining_capacity;
-    std::size_t unfrozen_flows{0};
-  };
-  std::vector<LinkState> state(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    state[i].remaining_capacity = links_[i].capacity;
-  }
+  // capacity, and continue until every flow is frozen. Only links some
+  // active flow crosses take part; their scratch state is set up on first
+  // touch and zeroed again at the end, so the cost follows the flows, not
+  // the size of the fabric. Both lists drop their finished entries as the
+  // rounds go; the flow list keeps FlowId order.
+  touched_links_.clear();
+  unfrozen_.clear();
   for (auto& [id, flow] : flows_) {
     flow.rate = -1.0;  // unfrozen marker
+    unfrozen_.push_back(&flow);
     for (const std::size_t link : flow.path) {
-      ++state[link].unfrozen_flows;
-    }
-  }
-
-  std::size_t unfrozen = flows_.size();
-  while (unfrozen > 0) {
-    // Bottleneck link: minimum per-flow share among links with unfrozen flows.
-    double min_share = std::numeric_limits<double>::infinity();
-    for (const auto& link : state) {
-      if (link.unfrozen_flows > 0) {
-        min_share = std::min(min_share,
-                             link.remaining_capacity / static_cast<double>(link.unfrozen_flows));
+      LinkState& ls = link_state_[link];
+      if (ls.unfrozen_flows++ == 0) {
+        ls.remaining_capacity = links_[link].capacity;
+        touched_links_.push_back(link);
       }
     }
+  }
+  auto freeze = [this](Flow& flow, double rate) {
+    flow.rate = rate;
+    for (const std::size_t link : flow.path) {
+      LinkState& ls = link_state_[link];
+      ls.remaining_capacity = std::max(0.0, ls.remaining_capacity - rate);
+      --ls.unfrozen_flows;
+    }
+  };
+  auto drop_frozen = [this] {
+    std::erase_if(unfrozen_, [](const Flow* f) { return f->rate >= 0.0; });
+  };
+
+  while (!unfrozen_.empty()) {
+    // Bottleneck link: minimum per-flow share among links with unfrozen
+    // flows. A min is order-independent, so scanning the touched set gives
+    // the same double as scanning every link.
+    double min_share = std::numeric_limits<double>::infinity();
+    std::size_t kept = 0;
+    for (const std::size_t link : touched_links_) {
+      const LinkState& ls = link_state_[link];
+      if (ls.unfrozen_flows > 0) {
+        min_share =
+            std::min(min_share, ls.remaining_capacity / static_cast<double>(ls.unfrozen_flows));
+        touched_links_[kept++] = link;
+      }
+    }
+    touched_links_.resize(kept);
     assert(min_share < std::numeric_limits<double>::infinity());
     min_share = std::max(min_share, 0.0);
 
@@ -256,32 +276,23 @@ void NetworkModel::rebalance() {
     // cap first (weighted-fairness with per-flow ceilings); the loop then
     // recomputes shares with their capacity released to the others.
     bool froze_capped = false;
-    for (auto& [id, flow] : flows_) {
-      if (flow.rate >= 0.0 || flow.max_rate <= 0.0 || flow.max_rate >= min_share) {
-        continue;
-      }
-      flow.rate = flow.max_rate;
-      froze_capped = true;
-      --unfrozen;
-      for (const std::size_t link : flow.path) {
-        state[link].remaining_capacity =
-            std::max(0.0, state[link].remaining_capacity - flow.max_rate);
-        --state[link].unfrozen_flows;
+    for (Flow* flow : unfrozen_) {
+      if (flow->max_rate > 0.0 && flow->max_rate < min_share) {
+        freeze(*flow, flow->max_rate);
+        froze_capped = true;
       }
     }
     if (froze_capped) {
+      drop_frozen();
       continue;
     }
 
     // Freeze every unfrozen flow that crosses a link achieving that share.
     bool froze_any = false;
-    for (auto& [id, flow] : flows_) {
-      if (flow.rate >= 0.0) {
-        continue;
-      }
+    for (Flow* flow : unfrozen_) {
       bool bottlenecked = false;
-      for (const std::size_t link : flow.path) {
-        const auto& ls = state[link];
+      for (const std::size_t link : flow->path) {
+        const LinkState& ls = link_state_[link];
         if (ls.unfrozen_flows > 0 &&
             ls.remaining_capacity / static_cast<double>(ls.unfrozen_flows) <=
                 min_share * (1.0 + 1e-12)) {
@@ -289,22 +300,19 @@ void NetworkModel::rebalance() {
           break;
         }
       }
-      if (!bottlenecked) {
-        continue;
-      }
-      flow.rate = flow.max_rate > 0.0 ? std::min(min_share, flow.max_rate) : min_share;
-      froze_any = true;
-      --unfrozen;
-      for (const std::size_t link : flow.path) {
-        state[link].remaining_capacity =
-            std::max(0.0, state[link].remaining_capacity - flow.rate);
-        --state[link].unfrozen_flows;
+      if (bottlenecked) {
+        freeze(*flow, flow->max_rate > 0.0 ? std::min(min_share, flow->max_rate) : min_share);
+        froze_any = true;
       }
     }
     assert(froze_any);
     if (!froze_any) {
       break;  // defensive: avoid an infinite loop under FP pathology
     }
+    drop_frozen();
+  }
+  for (const std::size_t link : touched_links_) {
+    link_state_[link].unfrozen_flows = 0;
   }
 
   // Reschedule completion events at the new rates.

@@ -166,6 +166,14 @@ class NetworkModel {
     sim::EventHandle deadline;
   };
 
+  /// rebalance() scratch, indexed like links_. Between calls every entry
+  /// has unfrozen_flows == 0; remaining_capacity is only meaningful while
+  /// the link is in touched_links_.
+  struct LinkState {
+    double remaining_capacity{0.0};
+    std::size_t unfrozen_flows{0};
+  };
+
   [[nodiscard]] std::size_t disk_link(std::size_t node) const { return node * 3; }
   [[nodiscard]] std::size_t nic_out_link(std::size_t node) const { return node * 3 + 1; }
   [[nodiscard]] std::size_t nic_in_link(std::size_t node) const { return node * 3 + 2; }
@@ -179,8 +187,8 @@ class NetworkModel {
   /// Charge progress to every flow for time elapsed since its last update.
   void advance_progress();
 
-  /// Recompute all flow rates (progressive filling) and reschedule
-  /// completion events.
+  /// Recompute all flow rates (progressive filling over the links active
+  /// flows cross) and reschedule completion events.
   void rebalance();
 
   void complete_flow(FlowId id);
@@ -193,6 +201,9 @@ class NetworkModel {
   sim::Simulation& sim_;
   FabricSpec spec_;
   std::vector<Link> links_;
+  std::vector<LinkState> link_state_;
+  std::vector<std::size_t> touched_links_;  // links unfrozen flows cross
+  std::vector<Flow*> unfrozen_;             // rebalance() scratch, FlowId order
   std::vector<double> node_degradation_;
   /// Ordered by FlowId (= start order), not hashed: `rebalance()` subtracts
   /// link capacity and freezes flows *in iteration order*, so with float

@@ -97,6 +97,24 @@ TEST(GfRegion, EveryKernelMatchesScalarReference) {
   }
 }
 
+TEST(GfRegion, EmptyRegionsTouchNoMemory) {
+  // An empty std::vector's data() may be null; every kernel and every factor
+  // class (0 = memset, 1 = memcpy/xor, other = table/SIMD) must accept a
+  // zero-length region with null pointers without passing them on (UBSan
+  // builds check this).
+  for (const KernelKind k : supported_kernels()) {
+    for (const std::uint8_t f : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{0x53}}) {
+      const MulTable t(f);
+      erms::ec::mul_region(k, t, nullptr, nullptr, 0);
+      erms::ec::muladd_region(k, t, nullptr, nullptr, 0);
+    }
+  }
+  erms::ec::xor_region(nullptr, nullptr, 0);
+  std::vector<std::uint8_t> empty;
+  erms::ec::mul_region(MulTable(1), empty.data(), empty.data(), 0);
+  SUCCEED();
+}
+
 TEST(GfRegion, UnalignedPointers) {
   const std::size_t len = 1000;
   const auto kernels = supported_kernels();

@@ -1,5 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <random>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "net/network.h"
 #include "sim/simulation.h"
 
@@ -343,6 +354,350 @@ TEST(NetworkFaults, NodeDegradationSlowsFlows) {
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR((sim.now() - before).seconds(), 0.5, 1e-5);
+}
+
+// ----- dense oracle ----------------------------------------------------------
+
+/// The progressive-filling model as it was before rebalance() went sparse:
+/// a LinkState per fabric link, rebuilt on every flow start/finish, and
+/// every filling round scanning all links. It runs on its own clock and
+/// mirrors NetworkModel's bookkeeping (paths, progress, completion
+/// rounding), so rates and completion instants can be compared bit for bit.
+class DenseOracle {
+ public:
+  DenseOracle(sim::Simulation& sim, const FabricSpec& spec) : sim_(sim), spec_(spec) {
+    for (const auto& node : spec_.nodes) {
+      links_.push_back({node.disk_bw, node.disk_bw});
+      links_.push_back({node.nic_bw, node.nic_bw});
+      links_.push_back({node.nic_bw, node.nic_bw});
+    }
+    for (std::size_t r = 0; r < spec_.rack_count; ++r) {
+      links_.push_back({spec_.rack_uplink_bw, spec_.rack_uplink_bw});
+      links_.push_back({spec_.rack_uplink_bw, spec_.rack_uplink_bw});
+    }
+  }
+
+  std::uint64_t start(std::size_t src, std::size_t dst, std::uint64_t bytes, bool src_disk,
+                      bool dst_disk, double max_rate) {
+    const std::uint64_t id = next_id_++;
+    Flow flow;
+    flow.remaining = static_cast<double>(bytes);
+    flow.max_rate = max_rate;
+    flow.last_update = sim_.now();
+    flow.src = src;
+    flow.dst = dst;
+    const std::size_t n = spec_.nodes.size();
+    if (src_disk) flow.path.push_back(src * 3);
+    if (src != dst) {
+      flow.path.push_back(src * 3 + 1);
+      const std::size_t sr = spec_.nodes[src].rack;
+      const std::size_t dr = spec_.nodes[dst].rack;
+      if (sr != dr) {
+        flow.path.push_back(n * 3 + sr * 2);
+        flow.path.push_back(n * 3 + dr * 2 + 1);
+      }
+      flow.path.push_back(dst * 3 + 2);
+    }
+    if (dst_disk && !(src == dst && src_disk)) flow.path.push_back(dst * 3);
+    if (flow.path.empty()) flow.path.push_back(src * 3);
+    advance();
+    flows_.emplace(id, std::move(flow));
+    rebalance();
+    return id;
+  }
+
+  void remove(std::uint64_t id) {
+    const auto it = flows_.find(id);
+    if (it == flows_.end()) return;
+    advance();
+    it->second.completion.cancel();
+    flows_.erase(it);
+    rebalance();
+  }
+
+  void remove_touching(std::size_t node) {
+    advance();
+    for (auto it = flows_.begin(); it != flows_.end();) {
+      if (it->second.src == node || it->second.dst == node) {
+        it->second.completion.cancel();
+        it = flows_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    rebalance();
+  }
+
+  void degrade_node(std::size_t node, double factor) {
+    advance();
+    for (std::size_t l = node * 3; l < node * 3 + 3; ++l) {
+      links_[l].capacity = links_[l].base * factor;
+    }
+    rebalance();
+  }
+
+  void degrade_rack(std::size_t rack, double factor) {
+    advance();
+    const std::size_t first = spec_.nodes.size() * 3 + rack * 2;
+    for (std::size_t l = first; l < first + 2; ++l) {
+      links_[l].capacity = links_[l].base * factor;
+    }
+    rebalance();
+  }
+
+  [[nodiscard]] bool active(std::uint64_t id) const { return flows_.contains(id); }
+  [[nodiscard]] double rate(std::uint64_t id) const {
+    const auto it = flows_.find(id);
+    return it == flows_.end() ? 0.0 : it->second.rate;
+  }
+  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::int64_t>>& completions() const {
+    return completions_;
+  }
+
+ private:
+  struct Link {
+    double capacity;
+    double base;
+  };
+  struct Flow {
+    std::size_t src{0};
+    std::size_t dst{0};
+    std::vector<std::size_t> path;
+    double remaining{0.0};
+    double max_rate{0.0};
+    double rate{0.0};
+    sim::SimTime last_update;
+    sim::EventHandle completion;
+  };
+
+  void advance() {
+    for (auto& [id, flow] : flows_) {
+      const double elapsed = (sim_.now() - flow.last_update).seconds();
+      if (elapsed > 0.0) flow.remaining = std::max(0.0, flow.remaining - flow.rate * elapsed);
+      flow.last_update = sim_.now();
+    }
+  }
+
+  void rebalance() {
+    struct LinkState {
+      double remaining_capacity;
+      std::size_t unfrozen_flows{0};
+    };
+    std::vector<LinkState> state(links_.size());
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      state[i].remaining_capacity = links_[i].capacity;
+    }
+    for (auto& [id, flow] : flows_) {
+      flow.rate = -1.0;
+      for (const std::size_t link : flow.path) ++state[link].unfrozen_flows;
+    }
+    std::size_t unfrozen = flows_.size();
+    while (unfrozen > 0) {
+      double min_share = std::numeric_limits<double>::infinity();
+      for (const auto& link : state) {
+        if (link.unfrozen_flows > 0) {
+          min_share = std::min(min_share, link.remaining_capacity /
+                                              static_cast<double>(link.unfrozen_flows));
+        }
+      }
+      min_share = std::max(min_share, 0.0);
+      bool froze_capped = false;
+      for (auto& [id, flow] : flows_) {
+        if (flow.rate >= 0.0 || flow.max_rate <= 0.0 || flow.max_rate >= min_share) continue;
+        flow.rate = flow.max_rate;
+        froze_capped = true;
+        --unfrozen;
+        for (const std::size_t link : flow.path) {
+          state[link].remaining_capacity =
+              std::max(0.0, state[link].remaining_capacity - flow.max_rate);
+          --state[link].unfrozen_flows;
+        }
+      }
+      if (froze_capped) continue;
+      bool froze_any = false;
+      for (auto& [id, flow] : flows_) {
+        if (flow.rate >= 0.0) continue;
+        bool bottlenecked = false;
+        for (const std::size_t link : flow.path) {
+          const auto& ls = state[link];
+          if (ls.unfrozen_flows > 0 &&
+              ls.remaining_capacity / static_cast<double>(ls.unfrozen_flows) <=
+                  min_share * (1.0 + 1e-12)) {
+            bottlenecked = true;
+            break;
+          }
+        }
+        if (!bottlenecked) continue;
+        flow.rate = flow.max_rate > 0.0 ? std::min(min_share, flow.max_rate) : min_share;
+        froze_any = true;
+        --unfrozen;
+        for (const std::size_t link : flow.path) {
+          state[link].remaining_capacity =
+              std::max(0.0, state[link].remaining_capacity - flow.rate);
+          --state[link].unfrozen_flows;
+        }
+      }
+      if (!froze_any) break;
+    }
+    for (auto& [id, flow] : flows_) {
+      flow.completion.cancel();
+      const std::uint64_t fid = id;
+      if (flow.remaining <= 1e-3) {
+        flow.completion = sim_.schedule_after(sim::micros(0), [this, fid] { complete(fid); });
+        continue;
+      }
+      if (flow.rate <= 0.0) continue;
+      const double secs = flow.remaining / flow.rate;
+      const auto micros = static_cast<std::int64_t>(std::ceil(secs * 1e6)) + 1;
+      flow.completion = sim_.schedule_after(sim::micros(micros), [this, fid] { complete(fid); });
+    }
+  }
+
+  void complete(std::uint64_t id) {
+    const auto it = flows_.find(id);
+    if (it == flows_.end()) return;
+    advance();
+    if (it->second.remaining > 1e-3) {
+      rebalance();
+      return;
+    }
+    flows_.erase(it);
+    rebalance();
+    completions_.emplace_back(id, sim_.now().micros());
+  }
+
+  sim::Simulation& sim_;
+  FabricSpec spec_;
+  std::vector<Link> links_;
+  std::map<std::uint64_t, Flow> flows_;
+  std::uint64_t next_id_{1};
+  std::vector<std::pair<std::uint64_t, std::int64_t>> completions_;
+};
+
+/// `nodes` nodes in `racks` racks. Uneven bandwidths (not round numbers, and
+/// different per node) make the fair shares inexact doubles, so the order
+/// in which filling subtracts them shows up in the last bits.
+FabricSpec rack_fabric(std::size_t nodes, std::size_t racks) {
+  FabricSpec spec;
+  spec.rack_count = racks;
+  spec.rack_uplink_bw = 400.0e6 / 3.0;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    FabricSpec::Node n;
+    n.rack = i * racks / nodes;
+    n.disk_bw = 70.0e6 + static_cast<double>(i * 7919 % 1000) * 1.0e4 / 7.0;
+    n.nic_bw = 110.0e6 + static_cast<double>(i * 104729 % 1000) * 3.0e4 / 11.0;
+    spec.nodes.push_back(n);
+  }
+  return spec;
+}
+
+/// Drive NetworkModel and the dense oracle through the same seeded sequence
+/// of starts, cancels, aborts, crashes and degradations; after every step
+/// each live flow's rate must be the same double, and every completion must
+/// land on the same microsecond.
+void run_against_oracle(const FabricSpec& spec, std::uint64_t seed, int steps) {
+  sim::Simulation sim;
+  sim::Simulation oracle_sim;
+  NetworkModel net{sim, spec};
+  DenseOracle oracle{oracle_sim, spec};
+  std::mt19937_64 rng{seed};
+  const std::size_t n = spec.nodes.size();
+  // Half the endpoints come from a small hot set so flows contend even on
+  // the wide fabric.
+  auto node = [&] {
+    return rng() % 2 == 0 ? static_cast<std::size_t>(rng() % std::min<std::size_t>(n, 12))
+                          : static_cast<std::size_t>(rng() % n);
+  };
+  auto unit = [&] { return static_cast<double>(rng() % 1000) / 1000.0; };
+  std::vector<FlowId> ids;
+  std::vector<std::pair<std::uint64_t, std::int64_t>> completions;
+  std::int64_t now = 0;
+  std::size_t max_active = 0;
+  std::set<double> rates_seen;
+  for (int step = 0; step < steps; ++step) {
+    now += static_cast<std::int64_t>(rng() % 50'000);
+    sim.run_until(sim::SimTime{now});
+    oracle_sim.run_until(sim::SimTime{now});
+    const auto op = rng() % 20;
+    if (op < 10 || ids.empty()) {
+      const std::size_t src = node();
+      const std::size_t dst = rng() % 8 == 0 ? src : node();
+      const std::uint64_t bytes = rng() % 8 == 0 ? 0 : (rng() % 256 + 1) << 20;
+      NetworkModel::FlowOptions opts;
+      opts.src_disk = rng() % 4 != 0;
+      opts.dst_disk = rng() % 3 == 0;
+      opts.max_rate = rng() % 4 == 0 ? 5.0e6 + unit() * 60.0e6 / 7.0 : 0.0;
+      const FlowId id = net.start_flow(src, dst, bytes, opts, [&](FlowId done) {
+        completions.emplace_back(done.value(), sim.now().micros());
+      });
+      ASSERT_EQ(id.value(),
+                oracle.start(src, dst, bytes, opts.src_disk, opts.dst_disk, opts.max_rate));
+      ids.push_back(id);
+    } else if (op < 13) {
+      const FlowId id = ids[rng() % ids.size()];
+      net.cancel_flow(id);
+      oracle.remove(id.value());
+    } else if (op < 15) {
+      const FlowId id = ids[rng() % ids.size()];
+      net.abort_flow(id);
+      oracle.remove(id.value());
+    } else if (op < 16) {
+      const std::size_t victim = node();
+      net.abort_flows_touching(victim);
+      oracle.remove_touching(victim);
+    } else if (op < 18) {
+      const std::size_t target = node();
+      const double factor = std::array<double, 4>{0.0, 0.3, 0.5, 1.0}[rng() % 4];
+      net.set_node_degradation(target, factor);
+      oracle.degrade_node(target, factor);
+    } else {
+      const std::size_t rack = rng() % spec.rack_count;
+      const double factor = std::array<double, 4>{0.0, 0.25, 0.6, 1.0}[rng() % 4];
+      net.set_rack_degradation(rack, factor);
+      oracle.degrade_rack(rack, factor);
+    }
+    max_active = std::max(max_active, net.active_flows());
+    for (const FlowId id : ids) {
+      rates_seen.insert(net.flow_rate(id));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(net.flow_rate(id)),
+                std::bit_cast<std::uint64_t>(oracle.rate(id.value())))
+          << "seed " << seed << " step " << step << " flow " << id.value() << ": "
+          << net.flow_rate(id) << " vs " << oracle.rate(id.value());
+    }
+    ASSERT_EQ(completions, oracle.completions()) << "seed " << seed << " step " << step;
+    // Keep only flows the oracle still carries as targets for later steps.
+    std::erase_if(ids, [&](FlowId id) { return !oracle.active(id.value()); });
+  }
+  // Restore every link and drain: the tails must agree too.
+  for (std::size_t i = 0; i < n; ++i) {
+    net.set_node_degradation(i, 1.0);
+    oracle.degrade_node(i, 1.0);
+  }
+  for (std::size_t r = 0; r < spec.rack_count; ++r) {
+    net.set_rack_degradation(r, 1.0);
+    oracle.degrade_rack(r, 1.0);
+  }
+  sim.run();
+  oracle_sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_EQ(completions, oracle.completions());
+  // The sequence must actually exercise contention and the tail.
+  EXPECT_GE(max_active, 20u);
+  EXPECT_GE(completions.size(), 50u);
+  EXPECT_GE(net.flows_aborted(), 50u);
+  EXPECT_GE(rates_seen.size(), 50u);
+}
+
+TEST(NetworkOracle, SparseFillingMatchesDenseOnTestbed) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    run_against_oracle(rack_fabric(18, 3), seed, 600);
+  }
+}
+
+TEST(NetworkOracle, SparseFillingMatchesDenseOnWideFabric) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    run_against_oracle(rack_fabric(400, 20), seed, 600);
+  }
 }
 
 }  // namespace

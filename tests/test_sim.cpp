@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -84,6 +87,173 @@ TEST(EventQueue, HandlePendingLifecycle) {
   q.pop().fn();
   EXPECT_FALSE(h.pending());
   EXPECT_NO_FATAL_FAILURE(h.cancel());  // cancel after fire is a no-op
+}
+
+TEST(EventQueue, StaleHandleCannotCancelReusedSlot) {
+  EventQueue q;
+  std::vector<int> fired;
+  EventHandle stale = q.schedule(SimTime{10}, [&] { fired.push_back(1); });
+  q.pop().fn();
+  // The freed slot is reused by the next schedule; the old handle's
+  // generation no longer matches it.
+  EventHandle fresh = q.schedule(SimTime{20}, [&] { fired.push_back(2); });
+  EXPECT_FALSE(stale.pending());
+  stale.cancel();
+  EXPECT_TRUE(fresh.pending());
+  EventHandle cancelled = q.schedule(SimTime{30}, [&] { fired.push_back(3); });
+  cancelled.cancel();
+  EventHandle reuser = q.schedule(SimTime{40}, [&] { fired.push_back(4); });
+  cancelled.cancel();
+  EXPECT_TRUE(reuser.pending());
+  while (!q.empty()) {
+    q.pop().fn();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 4}));
+}
+
+TEST(EventQueue, CancelAfterFireAndDoubleCancelAreNoOps) {
+  EventQueue q;
+  int fired = 0;
+  EventHandle done = q.schedule(SimTime{1}, [&] { ++fired; });
+  EventHandle twice = q.schedule(SimTime{2}, [&] { ++fired; });
+  EventHandle copy = twice;
+  q.schedule(SimTime{3}, [&] { ++fired; });
+  q.pop().fn();
+  done.cancel();
+  done.cancel();
+  twice.cancel();
+  EXPECT_FALSE(copy.pending());  // cancelled through the other copy
+  copy.cancel();
+  twice.cancel();
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) {
+    q.pop().fn();
+  }
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, CancelSameTimeEventFromCallback) {
+  Simulation sim;
+  std::vector<int> fired;
+  EventHandle second;
+  EventHandle third;
+  sim.schedule_at(SimTime{10}, [&] {
+    fired.push_back(1);
+    second.cancel();
+    EXPECT_FALSE(second.pending());
+    EXPECT_TRUE(third.pending());
+  });
+  second = sim.schedule_at(SimTime{10}, [&] { fired.push_back(2); });
+  third = sim.schedule_at(SimTime{10}, [&] { fired.push_back(3); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(EventQueue, HandleOutlivesSimulation) {
+  EventHandle handle;
+  EventHandle fired_handle;
+  {
+    Simulation sim;
+    handle = sim.schedule_after(seconds(1.0), [] {});
+    fired_handle = sim.schedule_after(seconds(0.5), [] {});
+    sim.run_until(SimTime{seconds(0.75).micros()});
+    EXPECT_TRUE(handle.pending());
+  }
+  // The arena is gone: both handles are inert, and cancel must not touch
+  // freed memory (ASan builds check this).
+  EXPECT_FALSE(handle.pending());
+  handle.cancel();
+  fired_handle.cancel();
+  EXPECT_FALSE(handle.pending());
+}
+
+TEST(EventQueue, CancelDestroysCallbackThatOwnsTheHandle) {
+  EventQueue q;
+  // The callback holds the only reference to the handle cancelling it, so
+  // dropping the callback frees the handle mid-cancel.
+  auto self = std::make_shared<EventHandle>();
+  EventHandle* raw = self.get();
+  *self = q.schedule(SimTime{5}, [self] {});
+  self.reset();
+  raw->cancel();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, DroppedCallbackMayCancelOtherEvents) {
+  EventQueue q;
+  int fired = 0;
+  EventHandle victim = q.schedule(SimTime{20}, [&] { ++fired; });
+  // Destroying the first callback cancels `victim` from inside cancel().
+  struct CancelOnDestroy {
+    EventHandle* target;
+    ~CancelOnDestroy() { target->cancel(); }
+  };
+  auto guard = std::make_shared<CancelOnDestroy>(CancelOnDestroy{&victim});
+  EventHandle first = q.schedule(SimTime{10}, [guard] {});
+  guard.reset();
+  q.schedule(SimTime{30}, [&] { ++fired; });
+  first.cancel();
+  EXPECT_FALSE(victim.pending());
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) {
+    q.pop().fn();
+  }
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, PopOrderMatchesSortedReference) {
+  // Interleaved schedules, cancels and pops against a brute-force list of
+  // live (time, seq) keys: every pop must return the smallest live key.
+  EventQueue q;
+  std::mt19937_64 rng{42};
+  struct Live {
+    std::int64_t time;
+    std::uint64_t seq;
+    EventHandle handle;
+  };
+  std::vector<Live> live;
+  std::uint64_t seq = 0;
+  std::uint64_t popped_seq = 0;
+  std::int64_t floor = 0;  // pops never go back in time, like a Simulation
+  for (int step = 0; step < 20000; ++step) {
+    const auto op = rng() % 10;
+    if (op < 5 || live.empty()) {
+      // Few distinct times, so (time, seq) ties are the common case.
+      const std::int64_t at = floor + static_cast<std::int64_t>(rng() % 16);
+      const std::uint64_t s = seq++;
+      live.push_back({at, s, q.schedule(SimTime{at}, [&popped_seq, s] { popped_seq = s; })});
+    } else if (op < 8) {
+      const std::size_t i = rng() % live.size();
+      live[i].handle.cancel();
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      const auto min = std::min_element(live.begin(), live.end(), [](const Live& a, const Live& b) {
+        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+      });
+      ASSERT_FALSE(q.empty());
+      ASSERT_EQ(q.next_time().micros(), min->time);
+      EventQueue::Fired fired = q.pop();
+      fired.fn();
+      ASSERT_EQ(fired.time.micros(), min->time);
+      ASSERT_EQ(popped_seq, min->seq);
+      ASSERT_FALSE(min->handle.pending());
+      floor = min->time;
+      live.erase(min);
+    }
+    ASSERT_EQ(q.size(), live.size());
+  }
+  std::sort(live.begin(), live.end(), [](const Live& a, const Live& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  });
+  for (const Live& want : live) {
+    ASSERT_TRUE(want.handle.pending());
+    EventQueue::Fired fired = q.pop();
+    fired.fn();
+    ASSERT_EQ(fired.time.micros(), want.time);
+    ASSERT_EQ(popped_seq, want.seq);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(Simulation, ClockAdvancesToEventTime) {
