@@ -136,6 +136,7 @@ void ErmsManager::start() {
     // The dead datanode's machine ad is stale — drop it so matchmaking and
     // operator queries stop seeing it.
     scheduler_.invalidate("dn" + std::to_string(n.value()));
+    forget_node_ad(n);
     if (config_.heal_capacity) {
       // Self-healing: bring a standby node online to replace the lost
       // serving capacity (no-op when the pool is exhausted).
@@ -193,6 +194,7 @@ void ErmsManager::resume() {
   }
   cluster_.set_failure_listener([this](hdfs::NodeId n) {
     scheduler_.invalidate("dn" + std::to_string(n.value()));
+    forget_node_ad(n);
     if (config_.heal_capacity) {
       standby_.ensure_commissioned(standby_.commissioned_count() + 1,
                                    [this] { advertise_nodes(); });
@@ -238,18 +240,40 @@ void ErmsManager::advertise_nodes() {
   // Machine ads let operators (and our tests) query the cluster through
   // Condor — "The ClassAds mechanism is used in ERMS to detect when
   // datanodes are commissioned or decommissioned" (§III.A).
+  // An ad is rebuilt only when one of its fields moved: most nodes are
+  // unchanged between two calls.
+  node_ads_.resize(cluster_.node_count());
   for (const hdfs::NodeId n : cluster_.nodes()) {
     const hdfs::DataNode& dn = cluster_.node(n);
+    const NodeAdFields fields{n.value(),
+                              cluster_.rack_of(n).value(),
+                              dn.state,
+                              dn.used_bytes,
+                              dn.config.capacity_bytes,
+                              dn.active_sessions,
+                              dn.config.max_sessions,
+                              standby_.in_pool(n)};
+    std::optional<NodeAdFields>& sent = node_ads_[n.value()];
+    if (sent == fields) {
+      continue;
+    }
+    sent = fields;
     classad::ClassAd ad;
-    ad.insert_int("Node", n.value());
-    ad.insert_int("Rack", cluster_.rack_of(n).value());
-    ad.insert_string("State", hdfs::to_string(dn.state));
-    ad.insert_int("UsedBytes", static_cast<std::int64_t>(dn.used_bytes));
-    ad.insert_int("CapacityBytes", static_cast<std::int64_t>(dn.config.capacity_bytes));
-    ad.insert_int("Sessions", dn.active_sessions);
-    ad.insert_int("MaxSessions", dn.config.max_sessions);
-    ad.insert_bool("StandbyPool", standby_.in_pool(n));
+    ad.insert_int("Node", fields.node);
+    ad.insert_int("Rack", fields.rack);
+    ad.insert_string("State", hdfs::to_string(fields.state));
+    ad.insert_int("UsedBytes", static_cast<std::int64_t>(fields.used_bytes));
+    ad.insert_int("CapacityBytes", static_cast<std::int64_t>(fields.capacity_bytes));
+    ad.insert_int("Sessions", fields.sessions);
+    ad.insert_int("MaxSessions", fields.max_sessions);
+    ad.insert_bool("StandbyPool", fields.standby_pool);
     scheduler_.advertise("dn" + std::to_string(n.value()), std::move(ad));
+  }
+}
+
+void ErmsManager::forget_node_ad(hdfs::NodeId node) {
+  if (node.value() < node_ads_.size()) {
+    node_ads_[node.value()].reset();
   }
 }
 
@@ -1039,6 +1063,9 @@ void ErmsManager::save_state(snapshot::Writer& w) {
 }
 
 void ErmsManager::load_state(snapshot::Reader& r) {
+  // The restored scheduler carries the saved run's ads; nothing here knows
+  // which fields they hold.
+  node_ads_.clear();
   engine_->load_state(r);
   feed_.load_state(r);
   const bool had_predictor = r.u8() != 0;

@@ -245,7 +245,12 @@ class ErmsManager {
 
   void schedule_tick();
   void register_executors();
+  /// Advertise a machine ad for every node whose advertised fields changed
+  /// since its last ad (or that has none on record).
   void advertise_nodes();
+  /// Forget the record of `node`'s last ad: its next advertise_nodes() sends
+  /// a fresh one.
+  void forget_node_ad(hdfs::NodeId node);
   /// Classify every existing file with id in [begin, end), writing only
   /// own-range dense state (types_, first_seen_, predictor slots) and
   /// appending decisions to `shard`. Reads a frozen in_flight view; submits
@@ -299,6 +304,20 @@ class ErmsManager {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> scratch_blocks_;
   std::vector<FileNodeAccess> scratch_file_nodes_;
   std::vector<hdfs::FileId> scratch_winners_;
+  /// The eight fields of the last machine ad sent for each node, by node
+  /// id; empty = no ad on record, send one.
+  struct NodeAdFields {
+    std::int64_t node{0};
+    std::int64_t rack{0};
+    hdfs::NodeState state{hdfs::NodeState::kActive};
+    std::uint64_t used_bytes{0};
+    std::uint64_t capacity_bytes{0};
+    std::uint32_t sessions{0};
+    std::uint32_t max_sessions{0};
+    bool standby_pool{false};
+    bool operator==(const NodeAdFields&) const = default;
+  };
+  std::vector<std::optional<NodeAdFields>> node_ads_;
   std::vector<SweepShard> sweep_shards_;
   std::unique_ptr<util::ThreadPool> sweep_pool_;  // null when sweep_threads == 1
   bool running_{false};

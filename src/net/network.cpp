@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "snapshot/codec.h"
@@ -87,7 +88,7 @@ FlowId NetworkModel::start_flow(std::size_t src, std::size_t dst, std::uint64_t 
 
   advance_progress();
   flows_.emplace(id, std::move(flow));
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }
@@ -100,10 +101,9 @@ void NetworkModel::cancel_flow(FlowId id) {
     return;
   }
   advance_progress();
-  it->second.completion.cancel();
   it->second.deadline.cancel();
   flows_.erase(it);
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->add(obs_ids_.flows_cancelled);
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
@@ -114,7 +114,6 @@ std::pair<NetworkModel::AbortedFlow, NetworkModel::AbortFn> NetworkModel::detach
     FlowId id) {
   const auto it = flows_.find(id);
   Flow& flow = it->second;
-  flow.completion.cancel();
   flow.deadline.cancel();
   const double done = static_cast<double>(flow.total_bytes) - std::max(0.0, flow.remaining);
   AbortedFlow info;
@@ -140,7 +139,7 @@ void NetworkModel::abort_flow(FlowId id) {
   }
   advance_progress();
   auto [info, on_abort] = detach_aborted(id);
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }
@@ -169,7 +168,7 @@ std::vector<NetworkModel::AbortedFlow> NetworkModel::abort_flows_touching(std::s
     aborted.push_back(info);
     handlers.push_back(std::move(on_abort));
   }
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }
@@ -189,7 +188,7 @@ void NetworkModel::set_node_degradation(std::size_t node, double factor) {
   links_[disk_link(node)].capacity = links_[disk_link(node)].base * factor;
   links_[nic_out_link(node)].capacity = links_[nic_out_link(node)].base * factor;
   links_[nic_in_link(node)].capacity = links_[nic_in_link(node)].base * factor;
-  rebalance();
+  mark_dirty();
 }
 
 void NetworkModel::set_rack_degradation(std::size_t rack, double factor) {
@@ -198,14 +197,15 @@ void NetworkModel::set_rack_degradation(std::size_t rack, double factor) {
   advance_progress();
   links_[uplink_out_link(rack)].capacity = links_[uplink_out_link(rack)].base * factor;
   links_[uplink_in_link(rack)].capacity = links_[uplink_in_link(rack)].base * factor;
-  rebalance();
+  mark_dirty();
 }
 
 double NetworkModel::node_degradation(std::size_t node) const {
   return node < node_degradation_.size() ? node_degradation_[node] : 1.0;
 }
 
-double NetworkModel::flow_rate(FlowId id) const {
+double NetworkModel::flow_rate(FlowId id) {
+  settle();
   const auto it = flows_.find(id);
   return it == flows_.end() ? 0.0 : it->second.rate;
 }
@@ -314,24 +314,45 @@ void NetworkModel::rebalance() {
   for (const std::size_t link : touched_links_) {
     link_state_[link].unfrozen_flows = 0;
   }
+}
 
-  // Reschedule completion events at the new rates.
-  for (auto& [id, flow] : flows_) {
-    flow.completion.cancel();
-    const FlowId fid = id;
-    if (flow.remaining <= kEpsilonBytes) {
-      flow.completion = sim_.schedule_after(sim::micros(0), [this, fid] { complete_flow(fid); });
-      continue;
+void NetworkModel::mark_dirty() {
+  settle_seq_ = sim_.reserve_seq();
+  dirty_ = true;
+  settle_hook_.request();
+}
+
+void NetworkModel::settle() {
+  if (!dirty_) {
+    return;
+  }
+  dirty_ = false;
+  rebalance();
+  completion_.cancel();
+  // Every flow's progress was charged at this instant, so its due instant
+  // follows from its remaining bytes and new rate alone. A drained flow is
+  // due now; a fully blocked one has no due instant until the next change.
+  const sim::SimTime now = sim_.now();
+  std::optional<sim::SimTime> first;
+  for (const auto& [id, flow] : flows_) {
+    sim::SimTime due = now;
+    if (flow.remaining > kEpsilonBytes) {
+      if (flow.rate <= 0.0) {
+        continue;
+      }
+      // Round up to the next microsecond so the completion fires at or
+      // after the fluid model's drain time, never a fraction early.
+      const double secs = flow.remaining / flow.rate;
+      due = now + sim::micros(static_cast<std::int64_t>(std::ceil(secs * 1e6)) + 1);
     }
-    if (flow.rate <= 0.0) {
-      continue;  // fully blocked; will be rescheduled on the next rebalance
+    if (!first || due < *first) {  // strict: the lower FlowId wins a tie
+      first = due;
+      due_flow_ = id;
     }
-    // Round the completion up to the next microsecond so the event fires at
-    // or after the fluid model's drain time, never a fraction early.
-    const double secs = flow.remaining / flow.rate;
-    const auto micros = static_cast<std::int64_t>(std::ceil(secs * 1e6)) + 1;
-    flow.completion =
-        sim_.schedule_after(sim::micros(micros), [this, fid] { complete_flow(fid); });
+  }
+  if (first) {
+    completion_ =
+        sim_.schedule_reserved(*first, settle_seq_, [this] { complete_flow(due_flow_); });
   }
 }
 
@@ -342,9 +363,8 @@ void NetworkModel::complete_flow(FlowId id) {
   }
   advance_progress();
   if (it->second.remaining > kEpsilonBytes) {
-    // Spurious wake-up (the flow's rate dropped since this event was
-    // scheduled); recompute rates and reschedule everyone's completions.
-    rebalance();
+    // Spurious wake-up (rounding left bytes behind); settle again.
+    mark_dirty();
     return;
   }
   it->second.deadline.cancel();
@@ -362,7 +382,7 @@ void NetworkModel::complete_flow(FlowId id) {
   }
   CompletionFn on_done = std::move(it->second.on_done);
   flows_.erase(it);
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }

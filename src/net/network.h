@@ -38,9 +38,11 @@ struct FabricSpec {
 /// sharing. Every transfer (block read, replication pipeline hop) is a flow
 /// whose path claims capacity on: the source disk (optional), source NIC,
 /// rack uplinks when crossing racks, destination NIC, and destination disk
-/// (optional, for writes). Rates are recomputed by progressive filling each
-/// time a flow starts or finishes; completions are scheduled on the
-/// simulation clock.
+/// (optional, for writes). A start, finish, cancel, abort or degradation
+/// only marks the fabric dirty; rates are settled by progressive filling
+/// once, before the simulation next looks at its queue or moves its clock
+/// (a Simulation::PreDispatch hook). The fabric then holds one completion
+/// event, at the earliest flow's due instant.
 ///
 /// This is what makes replica count matter in the experiments: a single
 /// replica's node saturates its disk/NIC as readers pile on, while extra
@@ -115,7 +117,8 @@ class NetworkModel {
   [[nodiscard]] double node_degradation(std::size_t node) const;
 
   /// Current rate (bytes/s) of an active flow; 0 if finished/unknown.
-  [[nodiscard]] double flow_rate(FlowId id) const;
+  /// Settles pending rate changes first.
+  [[nodiscard]] double flow_rate(FlowId id);
 
   [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
   [[nodiscard]] std::size_t node_count() const { return spec_.nodes.size(); }
@@ -162,7 +165,6 @@ class NetworkModel {
     std::uint64_t total_bytes{0};
     CompletionFn on_done;
     AbortFn on_abort;
-    sim::EventHandle completion;
     sim::EventHandle deadline;
   };
 
@@ -188,8 +190,16 @@ class NetworkModel {
   void advance_progress();
 
   /// Recompute all flow rates (progressive filling over the links active
-  /// flows cross) and reschedule completion events.
+  /// flows cross).
   void rebalance();
+
+  /// Record a change to the flow set or to link capacities: reserve the seq
+  /// the next completion event will carry and ask for a settle.
+  void mark_dirty();
+
+  /// If dirty: rebalance once, then move the fabric's completion event to
+  /// the earliest due instant (FlowId breaks ties) at the reserved seq.
+  void settle();
 
   void complete_flow(FlowId id);
 
@@ -226,6 +236,16 @@ class NetworkModel {
   };
   obs::MetricsRegistry* metrics_{nullptr};
   ObsIds obs_ids_;
+
+  /// The fabric's one completion event, for flow `due_flow_`. It carries
+  /// the seq reserved at the last change, so against same-time events it
+  /// orders as if it had been scheduled at that change.
+  sim::EventHandle completion_;
+  FlowId due_flow_;
+  std::uint64_t settle_seq_{0};
+  bool dirty_{false};
+  // Last: deregisters before the state it settles is destroyed.
+  sim::Simulation::PreDispatch settle_hook_{sim_, [this] { settle(); }};
 };
 
 }  // namespace erms::net

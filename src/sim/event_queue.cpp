@@ -107,8 +107,9 @@ void EventHandle::cancel() {
   }
 }
 
-EventHandle EventQueue::schedule(SimTime at, Callback fn) {
-  const std::uint32_t slot = arena_->push(at, next_seq_++, std::move(fn));
+EventHandle EventQueue::schedule(SimTime at, std::uint64_t seq, Callback fn) {
+  assert(seq < next_seq_);
+  const std::uint32_t slot = arena_->push(at, seq, std::move(fn));
   return EventHandle{arena_, slot, arena_->slots[slot].generation};
 }
 

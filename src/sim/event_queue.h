@@ -101,7 +101,18 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `fn` at absolute time `at`. Returns a cancellation handle.
-  EventHandle schedule(SimTime at, Callback fn);
+  EventHandle schedule(SimTime at, Callback fn) {
+    return schedule(at, reserve_seq(), std::move(fn));
+  }
+
+  /// Draw the next tie-break seq without scheduling anything. An event later
+  /// scheduled with it sorts, among same-time events, after every event
+  /// scheduled before this call and before every event scheduled after it.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `fn` at `at` with a seq from reserve_seq(). Each reserved seq
+  /// may be used for at most one pending event.
+  EventHandle schedule(SimTime at, std::uint64_t seq, Callback fn);
 
   [[nodiscard]] bool empty() const { return arena_->heap.empty(); }
 

@@ -2,7 +2,32 @@
 
 namespace erms::sim {
 
+Simulation::PreDispatch::PreDispatch(Simulation& sim, std::function<void()> flush)
+    : sim_(&sim), flush_(std::move(flush)) {
+  sim.hooks_.push_back(this);
+}
+
+Simulation::PreDispatch::~PreDispatch() {
+  if (sim_ != nullptr) {
+    std::erase(sim_->hooks_, this);
+  }
+}
+
+Simulation::~Simulation() {
+  for (PreDispatch* hook : hooks_) {
+    hook->sim_ = nullptr;
+  }
+}
+
+void Simulation::run_hooks() {
+  flush_pending_ = false;
+  for (PreDispatch* hook : hooks_) {
+    hook->flush_();
+  }
+}
+
 bool Simulation::step() {
+  flush();
   if (queue_.empty()) {
     return false;
   }
@@ -21,7 +46,11 @@ void Simulation::run() {
 
 void Simulation::run_until(SimTime deadline) {
   stopped_ = false;
-  while (!stopped_ && !queue_.empty() && queue_.next_time() <= deadline) {
+  while (true) {
+    flush();
+    if (stopped_ || queue_.empty() || queue_.next_time() > deadline) {
+      break;
+    }
     step();
   }
   if (now_ < deadline) {

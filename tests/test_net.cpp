@@ -8,6 +8,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -356,6 +357,144 @@ TEST(NetworkFaults, NodeDegradationSlowsFlows) {
   EXPECT_NEAR((sim.now() - before).seconds(), 0.5, 1e-5);
 }
 
+// ----- tie-order pins ---------------------------------------------------------
+//
+// Completion instants and their order against same-time events are part of
+// the determinism contract: every simulated outcome downstream depends on
+// them. These pin the order a rebalance-per-change fabric produces.
+
+TEST(NetworkTies, IdenticalFlowsCompleteInFlowIdOrder) {
+  for (const bool shared : {true, false}) {
+    sim::Simulation sim;
+    NetworkModel net{sim, small_fabric()};
+    std::vector<std::pair<std::uint64_t, std::int64_t>> done;
+    auto record = [&](FlowId id) { done.emplace_back(id.value(), sim.now().micros()); };
+    // Shared: two copies of one transfer split node 0's disk. Disjoint: the
+    // later-started flow runs between lower node ids. Either way both drain
+    // in the same microsecond.
+    const FlowId first =
+        net.start_flow(shared ? 0 : 2, shared ? 1 : 3, 40'000'000, {}, record);
+    const FlowId second = net.start_flow(0, 1, 40'000'000, {}, record);
+    sim.run();
+    const std::int64_t at = shared ? 1'000'001 : 500'001;
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0], std::make_pair(first.value(), at));
+    EXPECT_EQ(done[1], std::make_pair(second.value(), at));
+  }
+}
+
+TEST(NetworkTies, SameTimeEventsOrderAgainstTheLastFlowChange) {
+  // Flow A (80 MB, disk-bound at 80 MB/s) is due at 1'000'001 µs; flow B
+  // runs on disjoint links, so A's finish moves B's due instant only by
+  // rounding. A dry run finds it.
+  constexpr std::int64_t kADue = 1'000'001;
+  std::int64_t b_due = 0;
+  {
+    sim::Simulation sim;
+    NetworkModel net{sim, small_fabric()};
+    net.start_flow(0, 1, 80'000'000, {}, nullptr);
+    net.start_flow(2, 3, 120'000'000, {}, [&](FlowId) { b_due = sim.now().micros(); });
+    sim.run();
+  }
+  ASSERT_GT(b_due, kADue);
+
+  sim::Simulation sim;
+  NetworkModel net{sim, small_fabric()};
+  std::vector<std::string> log;
+  auto probe = [&](std::int64_t at, std::string name) {
+    sim.schedule_at(sim::SimTime{at}, [&log, name] { log.push_back(name); });
+  };
+  probe(kADue, "a:before-starts");
+  net.start_flow(0, 1, 80'000'000, {}, [&](FlowId) {
+    log.emplace_back("a:done");
+    probe(b_due, "b:after-a-done");
+  });
+  // Scheduled after A's start but before B's: B's start is the last change
+  // before A's due instant, so this still fires first.
+  probe(kADue, "a:between-starts");
+  probe(b_due, "b:before-a-done");
+  net.start_flow(2, 3, 120'000'000, {}, [&](FlowId) { log.emplace_back("b:done"); });
+  probe(kADue, "a:after-starts");
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a:before-starts", "a:between-starts", "a:done",
+                                           "a:after-starts", "b:before-a-done", "b:done",
+                                           "b:after-a-done"}));
+}
+
+TEST(NetworkTies, SameInstantBurstSettlesToPinnedRatesAndInstants) {
+  sim::Simulation sim;
+  NetworkModel net{sim, small_fabric()};
+  std::vector<std::pair<std::uint64_t, std::int64_t>> done;
+  auto record = [&](FlowId id) { done.emplace_back(id.value(), sim.now().micros()); };
+  std::vector<std::uint64_t> aborted;
+  NetworkModel::FlowOptions watched;
+  watched.on_abort = [&](FlowId, std::uint64_t bytes) { aborted.push_back(bytes); };
+
+  const FlowId e = net.start_flow(0, 2, 200'000'000, {}, record);
+  sim.run_until(sim::SimTime{250'000});
+  // One instant: starts, a rate read in the middle, a cancel and an abort.
+  const FlowId a = net.start_flow(0, 1, 40'000'000, {}, record);
+  NetworkModel::FlowOptions capped;
+  capped.max_rate = 20.0e6;
+  const FlowId b = net.start_flow(1, 2, 60'000'000, capped, record);
+  EXPECT_EQ(net.flow_rate(a), 40.0e6);
+  EXPECT_EQ(net.flow_rate(b), 20.0e6);
+  const FlowId c = net.start_flow(3, 2, 50'000'000, {}, record);
+  net.cancel_flow(b);
+  const FlowId d = net.start_flow(0, 3, 30'000'000, watched, record);
+  net.abort_flow(d);
+  const FlowId f = net.start_flow(2, 0, 10'000'000, {}, record);
+
+  // E and A split node 0's disk; C and F each own a disk.
+  EXPECT_EQ(net.flow_rate(e), 40.0e6);
+  EXPECT_EQ(net.flow_rate(a), 40.0e6);
+  EXPECT_EQ(net.flow_rate(b), 0.0);
+  EXPECT_EQ(net.flow_rate(c), 80.0e6);
+  EXPECT_EQ(net.flow_rate(d), 0.0);
+  EXPECT_EQ(net.flow_rate(f), 80.0e6);
+  EXPECT_EQ(aborted, std::vector<std::uint64_t>{0});
+
+  sim.run_until(sim::SimTime{sim::seconds(10.0).micros()});
+  EXPECT_EQ(done, (std::vector<std::pair<std::uint64_t, std::int64_t>>{
+                      {f.value(), 375'001},
+                      {c.value(), 875'001},
+                      {a.value(), 1'250'001},
+                      // Alone from 1.250001 s: 139,999,960 bytes left at
+                      // 80 MB/s is 1,749,999.5 µs, rounded up, plus one.
+                      {e.value(), 3'000'002}}));
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+TEST(NetworkTies, StopAndDeadlineJumpChargeSettledRates) {
+  for (const bool stop : {true, false}) {
+    sim::Simulation sim;
+    NetworkModel net{sim, small_fabric()};
+    std::uint64_t a_bytes = 0;
+    std::uint64_t b_bytes = 0;
+    NetworkModel::FlowOptions a_opts;
+    a_opts.on_abort = [&](FlowId, std::uint64_t bytes) { a_bytes = bytes; };
+    NetworkModel::FlowOptions b_opts;
+    b_opts.on_abort = [&](FlowId, std::uint64_t bytes) { b_bytes = bytes; };
+    const FlowId a = net.start_flow(0, 1, 80'000'000, a_opts, nullptr);
+    FlowId b;
+    // At 0.25 s B joins A on node 0's disk: 80 MB/s becomes 40 + 40. The
+    // next event is A's completion, past the deadline, so run_until leaves
+    // through stop() or through its jump to the deadline.
+    sim.schedule_at(sim::SimTime{250'000}, [&] {
+      b = net.start_flow(0, 1, 80'000'000, b_opts, nullptr);
+      if (stop) {
+        sim.stop();
+      }
+    });
+    sim.run_until(sim::SimTime{500'000});
+    EXPECT_EQ(sim.now().micros(), 500'000);
+    net.abort_flow(a);
+    net.abort_flow(b);
+    EXPECT_EQ(a_bytes, 30'000'000u) << "stop " << stop;  // 0.25 s × 80 + 0.25 s × 40
+    EXPECT_EQ(b_bytes, 10'000'000u) << "stop " << stop;  // 0.25 s × 40
+  }
+}
+
 // ----- dense oracle ----------------------------------------------------------
 
 /// The progressive-filling model as it was before rebalance() went sparse:
@@ -594,8 +733,11 @@ FabricSpec rack_fabric(std::size_t nodes, std::size_t racks) {
 /// Drive NetworkModel and the dense oracle through the same seeded sequence
 /// of starts, cancels, aborts, crashes and degradations; after every step
 /// each live flow's rate must be the same double, and every completion must
-/// land on the same microsecond.
-void run_against_oracle(const FabricSpec& spec, std::uint64_t seed, int steps) {
+/// land on the same microsecond. With `hold_clock`, about a third of the
+/// steps leave the clock where it is and read no rates, so several changes
+/// at one instant are settled together.
+void run_against_oracle(const FabricSpec& spec, std::uint64_t seed, int steps,
+                        bool hold_clock = false) {
   sim::Simulation sim;
   sim::Simulation oracle_sim;
   NetworkModel net{sim, spec};
@@ -615,9 +757,12 @@ void run_against_oracle(const FabricSpec& spec, std::uint64_t seed, int steps) {
   std::size_t max_active = 0;
   std::set<double> rates_seen;
   for (int step = 0; step < steps; ++step) {
-    now += static_cast<std::int64_t>(rng() % 50'000);
-    sim.run_until(sim::SimTime{now});
-    oracle_sim.run_until(sim::SimTime{now});
+    const bool hold = hold_clock && rng() % 3 == 0;
+    if (!hold) {
+      now += static_cast<std::int64_t>(rng() % 50'000);
+      sim.run_until(sim::SimTime{now});
+      oracle_sim.run_until(sim::SimTime{now});
+    }
     const auto op = rng() % 20;
     if (op < 10 || ids.empty()) {
       const std::size_t src = node();
@@ -657,7 +802,7 @@ void run_against_oracle(const FabricSpec& spec, std::uint64_t seed, int steps) {
       oracle.degrade_rack(rack, factor);
     }
     max_active = std::max(max_active, net.active_flows());
-    for (const FlowId id : ids) {
+    for (const FlowId id : hold ? std::vector<FlowId>{} : ids) {
       rates_seen.insert(net.flow_rate(id));
       ASSERT_EQ(std::bit_cast<std::uint64_t>(net.flow_rate(id)),
                 std::bit_cast<std::uint64_t>(oracle.rate(id.value())))
@@ -697,6 +842,18 @@ TEST(NetworkOracle, SparseFillingMatchesDenseOnTestbed) {
 TEST(NetworkOracle, SparseFillingMatchesDenseOnWideFabric) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     run_against_oracle(rack_fabric(400, 20), seed, 600);
+  }
+}
+
+TEST(NetworkOracle, SameInstantBurstsMatchDenseOnTestbed) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    run_against_oracle(rack_fabric(18, 3), seed, 600, /*hold_clock=*/true);
+  }
+}
+
+TEST(NetworkOracle, SameInstantBurstsMatchDenseOnWideFabric) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    run_against_oracle(rack_fabric(400, 20), seed, 600, /*hold_clock=*/true);
   }
 }
 

@@ -177,7 +177,7 @@ TEST(PredictiveJudge, FallingFileUsesObservedCounts) {
   const sim::SimTime now{1};
   // A file that was hot and is crashing down must not stay "hot" because of
   // stale forecasts.
-  judge.classify(obs(100), now, 3, 10);
+  ASSERT_EQ(judge.classify(obs(100), now, 3, 10).type, DataType::kHot);
   Classification c;
   for (const std::uint64_t n : {10u, 2u, 0u}) {
     c = judge.classify(obs(n), now, 3, 10);

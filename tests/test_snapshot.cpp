@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "classad/classad.h"
 #include "core/erms.h"
 #include "fault/fault_plan.h"
 #include "fault/invariant_checker.h"
@@ -394,6 +395,159 @@ TEST_F(SnapshotFuzz, MissingFileIsIo) {
       snapshot::restore_world("/nonexistent/erms.snap", w.parts());
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, snapshot::ErrorCode::kIo);
+}
+
+// ---------------------------------------------------------------------------
+// Machine ads
+// ---------------------------------------------------------------------------
+
+/// The ad advertise_nodes() would build for `n` from scratch.
+classad::ClassAd fresh_machine_ad(const Cluster& cluster, core::ErmsManager& erms, NodeId n) {
+  const hdfs::DataNode& dn = cluster.node(n);
+  classad::ClassAd ad;
+  ad.insert_int("Node", n.value());
+  ad.insert_int("Rack", cluster.rack_of(n).value());
+  ad.insert_string("State", hdfs::to_string(dn.state));
+  ad.insert_int("UsedBytes", static_cast<std::int64_t>(dn.used_bytes));
+  ad.insert_int("CapacityBytes", static_cast<std::int64_t>(dn.config.capacity_bytes));
+  ad.insert_int("Sessions", dn.active_sessions);
+  ad.insert_int("MaxSessions", dn.config.max_sessions);
+  ad.insert_bool("StandbyPool", erms.standby().in_pool(n));
+  return ad;
+}
+
+/// Every node carries exactly its fresh ad, and no other ad exists.
+void expect_fresh_ads(const Cluster& cluster, core::ErmsManager& erms, sim::SimTime at) {
+  ASSERT_EQ(erms.scheduler().machine_count(), cluster.node_count()) << "t=" << at.seconds();
+  for (const NodeId n : cluster.nodes()) {
+    const classad::ClassAd* ad = erms.scheduler().machine("dn" + std::to_string(n.value()));
+    ASSERT_NE(ad, nullptr) << "t=" << at.seconds() << " dn" << n.value();
+    EXPECT_EQ(ad->unparse(), fresh_machine_ad(cluster, erms, n).unparse())
+        << "t=" << at.seconds() << " dn" << n.value();
+  }
+}
+
+/// The paper's testbed with one hot file. The test calls evaluate() itself,
+/// every 20 s of sim time, so the ads can be checked right after each one.
+struct AdWorld {
+  static constexpr sim::SimDuration kPeriod = sim::seconds(20.0);
+
+  sim::Simulation sim;
+  Topology topo = Topology::uniform(3, 6);
+  std::unique_ptr<Cluster> cluster;
+  std::vector<NodeId> pool;
+  std::unique_ptr<core::ErmsManager> erms;
+  hdfs::FileId hot{0};
+  sim::SimTime next_eval{kPeriod.micros()};
+
+  AdWorld() {
+    cluster = std::make_unique<Cluster>(sim, topo, ClusterConfig{});
+    for (std::uint32_t n = 10; n < 18; ++n) {
+      pool.push_back(NodeId{n});
+    }
+    core::ErmsConfig cfg;
+    cfg.thresholds.window = sim::seconds(60.0);
+    cfg.thresholds.cold_age = sim::minutes(30.0);
+    cfg.evaluation_period = sim::hours(1000.0);  // the manager's own tick never fires
+    erms = std::make_unique<core::ErmsManager>(*cluster, pool, cfg);
+    hot = *cluster->populate_file("/ads/hot", 128 * MiB, 3);
+  }
+
+  [[nodiscard]] snapshot::WorldParts parts() {
+    return snapshot::WorldParts{&sim, cluster.get(), erms.get(), nullptr, nullptr};
+  }
+
+  /// Two opens a second on the hot file for the first two minutes.
+  void storm() {
+    for (int i = 0; i < 240; ++i) {
+      sim.schedule_at(sim::SimTime{static_cast<std::int64_t>(i) * 500'000}, [this, i] {
+        cluster->read_file(NodeId{static_cast<std::uint32_t>(i % 10)}, hot,
+                           [](const hdfs::ReadOutcome&) {});
+      });
+    }
+  }
+
+  /// Serving nodes that hold no block: a crash and a revival leave every
+  /// advertised field but State as it was.
+  [[nodiscard]] std::vector<NodeId> empty_serving_nodes() const {
+    std::vector<NodeId> out;
+    for (const NodeId n : cluster->nodes()) {
+      if (cluster->is_serving(n) && cluster->node(n).used_bytes == 0) {
+        out.push_back(n);
+      }
+    }
+    return out;
+  }
+
+  /// Evaluate on the 20 s grid up to `until`, checking every ad after each
+  /// evaluation.
+  void evaluate_until(sim::SimTime until) {
+    while (next_eval <= until) {
+      sim.run_until(next_eval);
+      erms->evaluate();
+      expect_fresh_ads(*cluster, *erms, next_eval);
+      next_eval = next_eval + kPeriod;
+    }
+  }
+};
+
+TEST(MachineAds, MatchFreshAdsAcrossCrashCooldownAndResume) {
+  std::string bytes;
+  NodeId bounced;   // crashes and comes back between two evaluations
+  NodeId downed;    // dead when the snapshot is taken, revived after resume
+  sim::SimTime saved_at;
+  {
+    AdWorld a;
+    const std::vector<NodeId> empty = a.empty_serving_nodes();
+    ASSERT_GE(empty.size(), 2u);
+    bounced = empty[0];
+    downed = empty[1];
+    a.erms->start();
+    expect_fresh_ads(*a.cluster, *a.erms, a.sim.now());
+    a.storm();
+    // Before the first evaluation, while the whole pool is powered down, so
+    // the healing commission's advertisement is still a boot delay away.
+    a.sim.schedule_at(sim::SimTime{sim::seconds(5.0).micros()},
+                      [&] { a.cluster->fail_node(bounced); });
+    a.sim.schedule_at(sim::SimTime{sim::seconds(5.001).micros()},
+                      [&] { ASSERT_TRUE(a.cluster->revive_node(bounced)); });
+    a.sim.schedule_at(sim::SimTime{sim::seconds(70.0).micros()},
+                      [&] { a.cluster->fail_node(downed); });
+    snapshot::SnapshotBarrier barrier{a.sim, a.parts()};
+    barrier.arm(sim::SimTime{sim::seconds(140.0).micros()}, [&] {
+      bytes = snapshot::save_world_bytes(a.parts());
+      saved_at = a.sim.now();
+    });
+    a.evaluate_until(sim::SimTime{sim::seconds(140.0).micros()});
+    while (!barrier.fired() && !HasFatalFailure()) {
+      a.evaluate_until(a.next_eval);
+    }
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_GT(a.erms->stats().hot_promotions, 0u);
+    EXPECT_EQ(a.cluster->node(downed).state, hdfs::NodeState::kDead);
+    a.erms->stop();
+  }
+
+  // The restoring manager has advertised its own (t = 0) ads first, so a
+  // record that survived load_state would hold fields the restored ads do
+  // not.
+  AdWorld b;
+  b.erms->start();
+  b.erms->stop();
+  const snapshot::SnapshotResult err = snapshot::restore_world_bytes(bytes, b.parts());
+  ASSERT_FALSE(err.has_value()) << err->to_string();
+  b.erms->resume();
+  const std::size_t commissioned = b.erms->standby().commissioned_count();
+  EXPECT_GT(commissioned, 0u);
+  // Back to exactly its t = 0 fields, while its restored ad says "dead".
+  ASSERT_TRUE(b.cluster->revive_node(downed));
+  while (b.next_eval <= saved_at) {
+    b.next_eval = b.next_eval + AdWorld::kPeriod;
+  }
+  b.evaluate_until(sim::SimTime{sim::minutes(12.0).micros()});
+  EXPECT_GT(b.erms->stats().cooldowns, 0u);
+  EXPECT_LT(b.erms->standby().commissioned_count(), commissioned);
+  b.erms->stop();
 }
 
 }  // namespace
