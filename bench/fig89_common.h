@@ -74,11 +74,15 @@ inline Scenario prepare_scenario(bool active_standby, std::uint32_t replication,
       const hdfs::NodeId client = bg_clients[(i * 3 + r) % bg_clients.size()];
       const hdfs::FileId file = fillers[i];
       hdfs::Cluster* cluster = t.cluster.get();
+      // The loop holds itself only weakly; the pending read or re-read event
+      // holds it strongly, so it is freed with the simulation's queue.
       auto loop = std::make_shared<std::function<void()>>();
-      *loop = [cluster, client, file, loop] {
-        cluster->read_file(client, file, [cluster, loop](const hdfs::ReadOutcome&) {
-          cluster->simulation().schedule_after(sim::millis(1), [loop] { (*loop)(); });
-        });
+      *loop = [cluster, client, file, self = std::weak_ptr(loop)] {
+        cluster->read_file(client, file,
+                           [cluster, loop = self.lock()](const hdfs::ReadOutcome&) {
+                             cluster->simulation().schedule_after(sim::millis(1),
+                                                                  [loop] { (*loop)(); });
+                           });
       };
       (*loop)();
     }

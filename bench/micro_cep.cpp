@@ -4,9 +4,8 @@
 // CEP precisely for "high-volume, low-latency" processing.
 //
 // Two layers:
-//  * a custom ingest sweep comparing the ClassAd event path against the
-//    slotted path (with the compiled WHERE fast path on and off), plus a
-//    ShardedEngine sweep over shard counts × batch sizes, written to
+//  * a custom ingest sweep of the slotted path into the scalar engine, plus
+//    a ShardedEngine sweep over shard counts × batch sizes, written to
 //    BENCH_cep.json (override with ERMS_BENCH_OUT) so the numbers form a
 //    trajectory across PRs;
 //  * the usual google-benchmark timings.
@@ -99,28 +98,6 @@ double slotted_rate(EngineBase& engine, const std::vector<AuditEvent>& events) {
   return best;
 }
 
-/// Events/s of the legacy path: ClassAd events through EngineBase::push.
-double classad_rate(EngineBase& engine, const std::vector<AuditEvent>& events) {
-  std::vector<erms::cep::Event> converted;
-  converted.reserve(events.size());
-  for (const AuditEvent& e : events) {
-    converted.push_back(e.to_cep_event());
-  }
-  const sim::SimDuration epoch =
-      (converted.back().time - sim::SimTime{0}) + sim::seconds(1.0);
-  double best = 0.0;
-  for (int pass = 0; pass < 2; ++pass) {
-    const double t0 = now_seconds();
-    for (erms::cep::Event& e : converted) {
-      engine.push(e);
-      e.time = e.time + epoch;  // pre-shift for the next pass
-    }
-    const double dt = now_seconds() - t0;
-    best = std::max(best, static_cast<double>(events.size()) / dt);
-  }
-  return best;
-}
-
 void ingest_sweep(std::FILE* json) {
   // ERMS_CEP_SWEEP_EVENTS shrinks the sweep for sanitizer/CI smoke runs.
   int slotted_events = 400000;
@@ -130,24 +107,9 @@ void ingest_sweep(std::FILE* json) {
       slotted_events = n;
     }
   }
-  const int kClassAdEvents = std::min(slotted_events, 50000);  // the slow path
   const int kSlottedEvents = slotted_events;
-  const auto small = make_workload(kClassAdEvents);
   const auto large = make_workload(kSlottedEvents);
 
-  double classad_path = 0.0;
-  {
-    Engine engine;
-    register_judge_queries(engine);
-    classad_path = classad_rate(engine, small);
-  }
-  double slotted_fallback = 0.0;
-  {
-    Engine engine;
-    engine.set_use_fast_path(false);  // WHERE still runs through ClassAd
-    register_judge_queries(engine);
-    slotted_fallback = slotted_rate(engine, small);
-  }
   double slotted_compiled = 0.0;
   {
     Engine engine;
@@ -161,10 +123,8 @@ void ingest_sweep(std::FILE* json) {
                "  \"unit\": \"events/s\",\n"
                "  \"hardware_threads\": %u,\n"
                "  \"judge_queries\": 4,\n"
-               "  \"single_thread\": {\"classad_event_path\": %.0f, "
-               "\"slotted_classad_where\": %.0f, \"slotted_compiled\": %.0f},\n",
-               std::thread::hardware_concurrency(), classad_path, slotted_fallback,
-               slotted_compiled);
+               "  \"single_thread\": {\"slotted_compiled\": %.0f},\n",
+               std::thread::hardware_concurrency(), slotted_compiled);
 
   std::fprintf(json, "  \"sharded_compiled\": {");
   const int shard_counts[] = {1, 2, 4, 8};
@@ -202,24 +162,6 @@ void ingest_sweep(std::FILE* json) {
 
 // ----- google-benchmark timings ---------------------------------------------------
 
-void BM_CepPushJudgeQueries(benchmark::State& state) {
-  Engine engine;
-  register_judge_queries(engine);
-  std::vector<erms::cep::Event> events;
-  for (int i = 0; i < 1000; ++i) {
-    events.push_back(make_event(i).to_cep_event());
-  }
-  int tick = 0;
-  for (auto _ : state) {
-    for (auto event : events) {
-      event.time = erms::sim::SimTime{static_cast<std::int64_t>(tick++) * 1000};
-      engine.push(event);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_CepPushJudgeQueries);
-
 void BM_CepPushSlottedJudgeQueries(benchmark::State& state) {
   Engine engine;
   register_judge_queries(engine);
@@ -242,8 +184,11 @@ void BM_CepSnapshot(benchmark::State& state) {
   Engine engine;
   const auto id = engine.register_query(parse_epl(
       "SELECT count(*) AS n FROM audit GROUP BY src WINDOW TIME 600s"));
+  const AuditSlots slots = AuditSlots::resolve(engine.attr_symbols(), engine.stream_symbols());
+  SlottedEvent scratch;
   for (int i = 0; i < 5000; ++i) {
-    engine.push(make_event(i).to_cep_event());
+    make_event(i).to_slotted(slots, scratch);
+    engine.push_slotted(scratch);
   }
   for (auto _ : state) {
     auto rows = engine.snapshot(id);

@@ -9,8 +9,6 @@
 #include "audit/audit.h"
 #include "cep/engine.h"
 #include "cep/epl_parser.h"
-#include "cep/pattern.h"
-#include "classad/parser.h"
 #include "sim/random.h"
 
 using namespace erms;
@@ -71,34 +69,14 @@ int main() {
         last_alert = row.values.get_string("src").value_or("?");
       });
 
-  // Event correlation: a file creation followed by a read burst within two
-  // minutes flags a born-hot file before any counter-based rule would.
-  cep::PatternDetector patterns;
-  cep::Pattern born_hot;
-  born_hot.name = "born-hot";
-  born_hot.from = "audit";
-  born_hot.opening = classad::parse_expr("cmd == \"create\"");
-  born_hot.follower = classad::parse_expr("cmd == \"read\"");
-  born_hot.correlate_by = {"src"};
-  born_hot.follower_count = 10;
-  born_hot.within = sim::seconds(120.0);
-  std::vector<std::string> born_hot_files;
-  patterns.add_pattern(born_hot, [&](const cep::PatternMatch& m) {
-    born_hot_files.push_back(m.key[0]);
-  });
-
-  // Sprinkle create events in so the pattern has openers.
+  // Feed the engine: resolve the audit stream's slots once, then fill one
+  // reused slotted event per record.
+  const audit::AuditSlots slots =
+      audit::AuditSlots::resolve(engine.attr_symbols(), engine.stream_symbols());
+  cep::SlottedEvent scratch;
   for (const audit::AuditEvent& e : events) {
-    const cep::Event ce = e.to_cep_event();
-    engine.push(ce);
-    patterns.push(ce);
-    if (e.src == "/warehouse/table-1" && e.block && *e.block % 50 == 0) {
-      audit::AuditEvent create = e;
-      create.cmd = "create";
-      create.block.reset();
-      create.datanode.reset();
-      patterns.push(create.to_cep_event());
-    }
+    e.to_slotted(slots, scratch);
+    engine.push_slotted(scratch);
   }
 
   // Top-5 hottest paths in the final window.
@@ -127,9 +105,6 @@ int main() {
 
   std::printf("\nHot-path alerts fired: %zu (last: %s)\n", alerts,
               last_alert.empty() ? "none" : last_alert.c_str());
-  std::printf("Born-hot patterns (create -> 10 reads in 120 s): %zu%s\n",
-              born_hot_files.size(),
-              born_hot_files.empty() ? "" : (" (" + born_hot_files.front() + ")").c_str());
   std::printf("Engine processed %llu events across %zu queries.\n",
               static_cast<unsigned long long>(engine.events_processed()),
               engine.query_count());

@@ -141,28 +141,6 @@ std::string AuditEvent::to_line() const {
   return line;
 }
 
-cep::Event AuditEvent::to_cep_event() const {
-  cep::Event event{time, kStream};
-  event.attrs.insert_bool("allowed", allowed);
-  event.with_string("ugi", ugi)
-      .with_string("ip", ip)
-      .with_string("cmd", cmd)
-      .with_string("src", src);
-  if (!dst.empty()) {
-    event.with_string("dst", dst);
-  }
-  if (block) {
-    event.with_int("blk", *block);
-  }
-  if (datanode) {
-    event.with_int("dn", *datanode);
-  }
-  if (fid != 0) {
-    event.with_int("fid", fid);
-  }
-  return event;
-}
-
 void AuditEvent::to_slotted(const AuditSlots& slots, cep::SlottedEvent& out) const {
   out.reset(time, slots.stream);
   if (slots.wants(slots.allowed)) {

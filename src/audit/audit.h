@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "cep/event.h"
 #include "cep/slotted_event.h"
 #include "sim/time.h"
 
@@ -66,13 +65,9 @@ struct AuditEvent {
   /// Format as an audit-log line (without trailing newline).
   [[nodiscard]] std::string to_line() const;
 
-  /// Convert to a CEP event with attributes: allowed, ugi, ip, cmd, src,
-  /// dst, and (when present) blk, dn.
-  [[nodiscard]] cep::Event to_cep_event() const;
-
-  /// Fill `out` with the same attributes in slotted form (same attribute set
-  /// as to_cep_event, less any `slots` does not want; no ClassAd, no
-  /// per-attribute allocations).
+  /// Fill `out` as a CEP event on stream kStream with attributes allowed,
+  /// ugi, ip, cmd, src and, when present, dst, blk, dn and fid (fid != 0),
+  /// less any `slots` does not want. No per-attribute allocations.
   void to_slotted(const AuditSlots& slots, cep::SlottedEvent& out) const;
 };
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "classad/expr.h"
 
@@ -94,9 +95,8 @@ bool attr_ref_slottable(const AttrRefExpr& ref) {
   return ref.scope() != AttrRefExpr::Scope::kTarget;
 }
 
-FastPred make_pred(Slot slot, BinaryOp op, const classad::Value& lit) {
+FastPred make_pred(BinaryOp op, const classad::Value& lit) {
   FastPred p;
-  p.slot = slot;
   p.op = op;
   switch (lit.type()) {
     case classad::Value::Type::kBool:
@@ -124,17 +124,25 @@ FastPred make_pred(Slot slot, BinaryOp op, const classad::Value& lit) {
   return p;
 }
 
-/// Compile `expr` into a conjunction of FastPreds. Returns false when the
-/// expression has a shape the fast path cannot reproduce exactly.
-bool try_compile(const classad::Expr* expr, SymbolTable& attrs, std::vector<FastPred>& out) {
+/// A FastPred whose attribute is not interned yet.
+struct PendingPred {
+  std::string_view attr;  // views the WHERE expression's AttrRefExpr
+  FastPred pred;
+};
+
+/// Compile `expr` into a conjunction of predicates. Returns false when the
+/// expression has a shape FastPreds cannot reproduce exactly. Interns
+/// nothing, so a rejected WHERE leaves the symbol tables as they were.
+/// `in_and` says `expr` is an operand of `&&`.
+bool try_compile(const classad::Expr* expr, std::vector<PendingPred>& out, bool in_and) {
   if (const auto* ref = dynamic_cast<const AttrRefExpr*>(expr)) {
     if (!attr_ref_slottable(*ref)) {
       return false;
     }
     FastPred p;
-    p.slot = attrs.intern(ref->name());
     p.truthy = true;
-    out.push_back(std::move(p));
+    p.numbers_truthy = in_and;
+    out.push_back({ref->name(), std::move(p)});
     return true;
   }
   const auto* bin = dynamic_cast<const BinaryExpr*>(expr);
@@ -145,8 +153,8 @@ bool try_compile(const classad::Expr* expr, SymbolTable& attrs, std::vector<Fast
     // `false && X` is false and `true && UNDEFINED` is UNDEFINED, so a
     // conjunction is strictly true iff every conjunct is strictly true —
     // conjunct order cannot matter for the engine's match/no-match outcome.
-    return try_compile(bin->lhs().get(), attrs, out) &&
-           try_compile(bin->rhs().get(), attrs, out);
+    return try_compile(bin->lhs().get(), out, /*in_and=*/true) &&
+           try_compile(bin->rhs().get(), out, /*in_and=*/true);
   }
   if (!is_comparison(bin->op())) {
     return false;
@@ -154,39 +162,16 @@ bool try_compile(const classad::Expr* expr, SymbolTable& attrs, std::vector<Fast
   const auto* lref = dynamic_cast<const AttrRefExpr*>(bin->lhs().get());
   const auto* rlit = dynamic_cast<const LiteralExpr*>(bin->rhs().get());
   if (lref != nullptr && rlit != nullptr && attr_ref_slottable(*lref)) {
-    out.push_back(make_pred(attrs.intern(lref->name()), bin->op(), rlit->value()));
+    out.push_back({lref->name(), make_pred(bin->op(), rlit->value())});
     return true;
   }
   const auto* llit = dynamic_cast<const LiteralExpr*>(bin->lhs().get());
   const auto* rref = dynamic_cast<const AttrRefExpr*>(bin->rhs().get());
   if (llit != nullptr && rref != nullptr && attr_ref_slottable(*rref)) {
-    out.push_back(make_pred(attrs.intern(rref->name()), flip(bin->op()), llit->value()));
+    out.push_back({rref->name(), make_pred(flip(bin->op()), llit->value())});
     return true;
   }
   return false;
-}
-
-/// Every attribute `expr` references, for the ClassAd fallback's read set.
-void collect_attr_refs(const classad::Expr* expr, SymbolTable& attrs, std::vector<Slot>& out) {
-  if (expr == nullptr) {
-    return;
-  }
-  if (const auto* ref = dynamic_cast<const AttrRefExpr*>(expr)) {
-    out.push_back(attrs.intern(ref->name()));
-  } else if (const auto* bin = dynamic_cast<const BinaryExpr*>(expr)) {
-    collect_attr_refs(bin->lhs().get(), attrs, out);
-    collect_attr_refs(bin->rhs().get(), attrs, out);
-  } else if (const auto* un = dynamic_cast<const classad::UnaryExpr*>(expr)) {
-    collect_attr_refs(un->operand().get(), attrs, out);
-  } else if (const auto* cond = dynamic_cast<const classad::ConditionalExpr*>(expr)) {
-    for (const classad::ExprPtr& child : cond->children()) {
-      collect_attr_refs(child.get(), attrs, out);
-    }
-  } else if (const auto* call = dynamic_cast<const classad::FunctionCallExpr*>(expr)) {
-    for (const classad::ExprPtr& arg : call->args()) {
-      collect_attr_refs(arg.get(), attrs, out);
-    }
-  }
 }
 
 }  // namespace
@@ -201,9 +186,9 @@ bool eval_fast_pred(const FastPred& p, const SlottedEvent& e) {
       case SlotValue::Kind::kBool:
         return v->b;
       case SlotValue::Kind::kInt:
-        return v->i != 0;
+        return p.numbers_truthy && v->i != 0;
       case SlotValue::Kind::kReal:
-        return v->r != 0.0;
+        return p.numbers_truthy && v->r != 0.0;
       default:
         return false;  // string in boolean position = ERROR
     }
@@ -262,19 +247,20 @@ CompiledQuery CompiledQuery::compile(const Query& q, SymbolTable& attrs,
     throw std::invalid_argument("GROUP BY names more than " + std::to_string(kMaxGroupBy) +
                                 " attributes");
   }
+  std::vector<PendingPred> pending;
+  if (q.where && !try_compile(q.where.get(), pending, /*in_and=*/false)) {
+    std::string msg =
+        "WHERE must be a conjunction of attribute-vs-literal compares and attribute tests: ";
+    msg.append(q.where->unparse());
+    throw std::invalid_argument(msg);
+  }
   CompiledQuery plan;
   plan.stream = q.from.empty() ? kNoSlot : streams.intern(q.from);
-  if (q.where) {
-    std::vector<FastPred> preds;
-    if (try_compile(q.where.get(), attrs, preds)) {
-      plan.where = WhereMode::kFast;
-      plan.preds = std::move(preds);
-    } else {
-      plan.where = WhereMode::kClassAd;
-    }
-    // Both WHERE paths read the same attributes (the fast path can be
-    // switched off per engine), so the read set covers every reference.
-    collect_attr_refs(q.where.get(), attrs, plan.reads);
+  plan.preds.reserve(pending.size());
+  for (PendingPred& p : pending) {
+    p.pred.slot = attrs.intern(p.attr);
+    plan.reads.push_back(p.pred.slot);
+    plan.preds.push_back(std::move(p.pred));
   }
   plan.group_slots.reserve(q.group_by.size());
   for (const std::string& attr : q.group_by) {
@@ -302,32 +288,6 @@ CompiledQuery CompiledQuery::compile(const Query& q, SymbolTable& attrs,
     }
   }
   return plan;
-}
-
-void to_classad(const SlottedEvent& e, const SymbolTable& attrs, classad::ClassAd& out) {
-  for (const Slot slot : e.touched()) {
-    const SlotValue* v = e.get(slot);
-    if (v == nullptr) {
-      continue;
-    }
-    const std::string& name = attrs.name(slot);
-    switch (v->kind) {
-      case SlotValue::Kind::kBool:
-        out.insert_bool(name, v->b);
-        break;
-      case SlotValue::Kind::kInt:
-        out.insert_int(name, v->i);
-        break;
-      case SlotValue::Kind::kReal:
-        out.insert_real(name, v->r);
-        break;
-      case SlotValue::Kind::kString:
-        out.insert_string(name, v->s);
-        break;
-      case SlotValue::Kind::kNull:
-        break;
-    }
-  }
 }
 
 }  // namespace erms::cep

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "cep/event.h"
 #include "snapshot/codec.h"
 
 namespace erms::cep {
@@ -150,12 +149,8 @@ void Engine::refresh_same_where(Window& w) const {
   for (std::size_t k = 0; k < w.members.size(); ++k) {
     w.same_where[k] = static_cast<std::uint32_t>(k);
     const CompiledQuery& a = queries_[w.members[k]].plan;
-    if (a.where == CompiledQuery::WhereMode::kClassAd) {
-      continue;
-    }
     for (std::size_t j = 0; j < k; ++j) {
-      const CompiledQuery& b = queries_[w.members[j]].plan;
-      if (b.where == a.where && b.preds == a.preds) {
+      if (queries_[w.members[j]].plan.preds == a.preds) {
         w.same_where[k] = static_cast<std::uint32_t>(j);
         break;
       }
@@ -195,27 +190,17 @@ const Query* Engine::query(QueryId id) const {
   return qs == nullptr ? nullptr : &qs->query;
 }
 
-bool Engine::event_matches(QueryState& qs, const SlottedEvent& e) {
+bool Engine::event_matches(const QueryState& qs, const SlottedEvent& e) {
   const CompiledQuery& plan = qs.plan;
   if (plan.stream != kNoSlot && plan.stream != e.stream) {
     return false;
   }
-  if (plan.where == CompiledQuery::WhereMode::kNone) {
-    return true;
-  }
-  if (plan.where == CompiledQuery::WhereMode::kFast && use_fast_path_) {
-    for (const FastPred& p : plan.preds) {
-      if (!eval_fast_pred(p, e)) {
-        return false;
-      }
+  for (const FastPred& p : plan.preds) {
+    if (!eval_fast_pred(p, e)) {
+      return false;
     }
-    return true;
   }
-  // Compatibility adapter: rebuild a ClassAd view and run the expression.
-  classad::ClassAd ad;
-  to_classad(e, *attrs_, ad);
-  const classad::Value v = ad.evaluate_expr(*qs.query.where);
-  return v.is_bool() && v.as_bool();
+  return true;
 }
 
 void Engine::make_key(const CompiledQuery& plan, const SlottedEvent& e, GroupKey& key) {
@@ -693,31 +678,6 @@ void Engine::push_window(Window& w, std::size_t n, const At& at) {
       probe(t - kProbeLag);
     }
   }
-}
-
-void EngineBase::push(const Event& event) {
-  convert_scratch_.reset(event.time, stream_symbols().intern(event.type));
-  for (const std::string& name : event.attrs.attribute_names()) {
-    const classad::Value v = event.attrs.evaluate(name);
-    const Slot slot = attr_symbols().intern(name);
-    switch (v.type()) {
-      case classad::Value::Type::kBool:
-        convert_scratch_.set_bool(slot, v.as_bool());
-        break;
-      case classad::Value::Type::kInt:
-        convert_scratch_.set_int(slot, v.as_int());
-        break;
-      case classad::Value::Type::kReal:
-        convert_scratch_.set_real(slot, v.as_real());
-        break;
-      case classad::Value::Type::kString:
-        convert_scratch_.set_string(slot, v.as_string());
-        break;
-      default:
-        break;  // UNDEFINED / ERROR attributes stay absent
-    }
-  }
-  push_slotted(convert_scratch_);
 }
 
 void Engine::advance_to(sim::SimTime now) {

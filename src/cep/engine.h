@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cep/compiled_query.h"
-#include "cep/event.h"
 #include "cep/group_key.h"
 #include "cep/query.h"
 #include "cep/slotted_event.h"
@@ -56,10 +55,6 @@ class EngineBase {
 
   /// Remove a query and its state. Returns false if unknown.
   virtual bool remove_query(QueryId id) = 0;
-
-  /// Push one event into every matching query (compatibility path: converts
-  /// to slotted form, then push_slotted).
-  void push(const Event& event);
 
   /// Push a slotted event. The event is consumed during the call (or copied
   /// into a pending batch); callers may reuse it immediately. Listeners fire
@@ -122,9 +117,6 @@ class EngineBase {
   /// restored engine renders byte-identical rows.
   virtual void save_state(snapshot::Writer& w) = 0;
   virtual void load_state(snapshot::Reader& r) = 0;
-
- private:
-  SlottedEvent convert_scratch_;  // scratch for push(const Event&)
 };
 
 /// The CEP engine: continuous queries over pushed event streams with sliding
@@ -176,11 +168,6 @@ class Engine final : public EngineBase {
   [[nodiscard]] const std::vector<bool>& read_attrs() const override { return read_attrs_; }
   void save_state(snapshot::Writer& w) override;
   void load_state(snapshot::Reader& r) override;
-
-  /// Force WHERE evaluation through the ClassAd adapter even when a fast
-  /// plan exists — the differential tests prove both paths byte-identical.
-  void set_use_fast_path(bool on) { use_fast_path_ = on; }
-  [[nodiscard]] bool use_fast_path() const { return use_fast_path_; }
 
   /// Raw (pre-rendering) aggregate state, exported so ShardedEngine can
   /// merge groups that span shards before rendering rows.
@@ -279,7 +266,7 @@ class Engine final : public EngineBase {
                        const std::vector<int>& column);
   void refresh_same_where(Window& w) const;
 
-  [[nodiscard]] bool event_matches(QueryState& qs, const SlottedEvent& e);
+  [[nodiscard]] static bool event_matches(const QueryState& qs, const SlottedEvent& e);
   /// Fill `key` from the event's GROUP BY attributes. String and real
   /// components are left unresolved: their ids are looked up at retirement,
   /// since groups created or erased in between may intern or free them.
@@ -329,7 +316,6 @@ class Engine final : public EngineBase {
   std::vector<bool> read_attrs_;
   util::IdGenerator<QueryId> ids_{1};
   std::uint64_t events_processed_{0};
-  bool use_fast_path_{true};
   /// In-flight pipeline state for push_window: per event still between the
   /// fetch stage and retirement, one key and match flag per window member.
   static constexpr std::size_t kPipeDepth = 8;  // power of two

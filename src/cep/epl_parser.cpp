@@ -1,7 +1,5 @@
 #include "cep/epl_parser.h"
 
-#include "cep/pattern.h"
-
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
@@ -40,9 +38,9 @@ bool keyword_at(const std::string& low, std::size_t i, std::string_view kw) {
   return start_ok && end_ok;
 }
 
-std::vector<Clause> split_clauses(std::string_view text,
-                                  const std::vector<std::string>& keywords,
-                                  const std::string& expected_first) {
+std::vector<Clause> split_clauses(std::string_view text) {
+  static const std::vector<std::string> kKeywords = {"select", "from",   "where",
+                                                     "group",  "window", "having"};
   const std::string input(text);
   const std::string low = lower(input);
   std::vector<Clause> clauses;
@@ -64,13 +62,13 @@ std::vector<Clause> split_clauses(std::string_view text,
     }
     if (!in_string) {
       bool matched = false;
-      for (const std::string& kw : keywords) {
+      for (const std::string& kw : kKeywords) {
         if (keyword_at(low, i, kw)) {
           close_clause(i);
           clauses.push_back(Clause{kw, ""});
           i += kw.size();
-          // "group"/"correlate"/"followed" take a "by" particle.
-          if (kw == "group" || kw == "correlate" || kw == "followed") {
+          // "group" takes a "by" particle.
+          if (kw == "group") {
             while (i < input.size() && std::isspace(static_cast<unsigned char>(input[i])) != 0) {
               ++i;
             }
@@ -92,8 +90,8 @@ std::vector<Clause> split_clauses(std::string_view text,
     ++i;
   }
   close_clause(input.size());
-  if (clauses.empty() || clauses.front().keyword != expected_first) {
-    throw classad::ParseError("statement must start with " + expected_first, 0);
+  if (clauses.empty() || clauses.front().keyword != "select") {
+    throw classad::ParseError("statement must start with select", 0);
   }
   return clauses;
 }
@@ -167,6 +165,10 @@ WindowSpec parse_window(std::string_view body) {
     } else if (!(unit.empty() || unit == "s")) {
       throw classad::ParseError("unknown time unit '" + unit + "'", 0);
     }
+    // Whole microseconds must fit SimDuration: this also rejects nan/inf.
+    if (!(secs >= 0.0 && secs < 9.2e12)) {
+      throw classad::ParseError("WINDOW TIME out of range", 0);
+    }
     return WindowSpec::time(sim::seconds(secs));
   }
   if (util::starts_with(text, "length")) {
@@ -184,11 +186,9 @@ WindowSpec parse_window(std::string_view body) {
 }  // namespace
 
 Query parse_epl(std::string_view text) {
-  static const std::vector<std::string> kKeywords = {"select", "from",   "where",
-                                                     "group",  "window", "having"};
   Query query;
   bool saw_window = false;
-  for (const Clause& clause : split_clauses(text, kKeywords, "select")) {
+  for (const Clause& clause : split_clauses(text)) {
     if (clause.keyword == "select") {
       for (const std::string_view item : util::split(clause.body, ',')) {
         query.select.push_back(parse_aggregate(item));
@@ -225,57 +225,6 @@ Query parse_epl(std::string_view text) {
     throw classad::ParseError("missing WINDOW clause", 0);
   }
   return query;
-}
-
-Pattern parse_epl_pattern(std::string_view text) {
-  static const std::vector<std::string> kKeywords = {
-      "pattern", "on", "opening", "followed", "matching", "correlate", "within"};
-  Pattern pattern;
-  bool saw_within = false;
-  for (const Clause& clause : split_clauses(text, kKeywords, "pattern")) {
-    if (clause.keyword == "pattern") {
-      pattern.name = std::string(util::trim(clause.body));
-      if (pattern.name.empty()) {
-        throw classad::ParseError("PATTERN needs a name", 0);
-      }
-    } else if (clause.keyword == "on") {
-      pattern.from = std::string(util::trim(clause.body));
-    } else if (clause.keyword == "opening") {
-      pattern.opening = classad::parse_expr(clause.body);
-    } else if (clause.keyword == "followed") {
-      char* end = nullptr;
-      const std::string body(util::trim(clause.body));
-      const long long n = std::strtoll(body.c_str(), &end, 10);
-      if (end == body.c_str() || n <= 0 || !std::string(util::trim(std::string_view(end))).empty()) {
-        throw classad::ParseError("FOLLOWED BY needs a positive count", 0);
-      }
-      pattern.follower_count = static_cast<std::size_t>(n);
-    } else if (clause.keyword == "matching") {
-      pattern.follower = classad::parse_expr(clause.body);
-    } else if (clause.keyword == "correlate") {
-      for (const std::string_view item : util::split(clause.body, ',')) {
-        const std::string attr(util::trim(item));
-        if (attr.empty()) {
-          throw classad::ParseError("empty CORRELATE BY attribute", 0);
-        }
-        pattern.correlate_by.push_back(attr);
-      }
-    } else if (clause.keyword == "within") {
-      const std::string body = "time " + std::string(util::trim(clause.body));
-      pattern.within = parse_window(body).duration;
-      saw_within = true;
-    }
-  }
-  if (!pattern.opening) {
-    throw classad::ParseError("missing OPENING clause", 0);
-  }
-  if (!pattern.follower) {
-    throw classad::ParseError("missing MATCHING clause", 0);
-  }
-  if (!saw_within) {
-    throw classad::ParseError("missing WITHIN clause", 0);
-  }
-  return pattern;
 }
 
 }  // namespace erms::cep

@@ -2,7 +2,6 @@
 
 #include <string_view>
 
-#include "cep/pattern.h"
 #include "cep/query.h"
 
 namespace erms::cep {
@@ -21,18 +20,9 @@ namespace erms::cep {
 /// where <agg> is count(*) | sum(a) | avg(a) | min(a) | max(a).
 /// Keywords are case-insensitive. WHERE/HAVING bodies use the ClassAd
 /// expression language. Throws classad::ParseError on malformed input.
+/// Parsing does not check the WHERE shape: register_query accepts only
+/// conjunctions of `attr OP literal` compares and bare `attr` tests, and
+/// throws std::invalid_argument for anything else.
 Query parse_epl(std::string_view text);
-
-/// Parse a sequence-pattern statement for the PatternDetector:
-///
-///   PATTERN <name> ON <stream>
-///   OPENING <classad-expr>
-///   FOLLOWED BY <count> MATCHING <classad-expr>
-///   [CORRELATE BY <attr> {, <attr>}]
-///   WITHIN <number>[s|ms|m|h]
-///
-/// e.g. PATTERN born_hot ON audit OPENING cmd == "create"
-///      FOLLOWED BY 10 MATCHING cmd == "read" CORRELATE BY src WITHIN 120s
-Pattern parse_epl_pattern(std::string_view text);
 
 }  // namespace erms::cep

@@ -21,8 +21,11 @@ struct Aggregate {
 /// A continuous query over one stream — the structured form of
 ///   SELECT <aggregates> FROM <stream> [WHERE <expr>]
 ///   [GROUP BY <attrs>] WINDOW TIME <dur> | LENGTH <n> [HAVING <expr>]
-/// WHERE is evaluated against each event's attribute ad; HAVING against a
-/// result row holding the group keys and aggregate aliases.
+/// WHERE is a ClassAd expression over the event's attributes, limited to a
+/// conjunction of `attr OP literal` compares and bare `attr` tests (it is
+/// compiled to slot predicates at register_query, which rejects any other
+/// shape); HAVING is any ClassAd expression over a result row holding the
+/// group keys and aggregate aliases.
 struct Query {
   std::string name;
   std::string from;

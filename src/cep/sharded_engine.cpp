@@ -7,7 +7,6 @@
 #include <numeric>
 #include <thread>
 
-#include "cep/event.h"
 #include "snapshot/codec.h"
 
 namespace erms::cep {
@@ -137,12 +136,6 @@ void ShardedEngine::refresh_read_attrs() {
 }
 
 std::size_t ShardedEngine::query_count() const { return shards_.front()->query_count(); }
-
-void ShardedEngine::set_use_fast_path(bool on) {
-  for (auto& shard : shards_) {
-    shard->set_use_fast_path(on);
-  }
-}
 
 std::size_t ShardedEngine::route(const SlottedEvent& e) const {
   if (shards_.size() == 1) {

@@ -73,9 +73,6 @@ class ShardedEngine final : public EngineBase {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] Engine& shard(std::size_t i) { return *shards_[i]; }
 
-  /// Forwarded to every shard (differential tests compare both WHERE paths).
-  void set_use_fast_path(bool on);
-
  private:
   [[nodiscard]] std::size_t route(const SlottedEvent& e) const;
   /// All shards' groups for `id`, merged on their typed keys, in kSorted

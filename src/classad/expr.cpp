@@ -250,7 +250,10 @@ std::string BinaryExpr::unparse() const {
       op = "||";
       break;
   }
-  return "(" + lhs_->unparse() + " " + op + " " + rhs_->unparse() + ")";
+  std::string out = "(";
+  out.append(lhs_->unparse()).append(" ").append(op).append(" ");
+  out.append(rhs_->unparse()).append(")");
+  return out;
 }
 
 Value ConditionalExpr::evaluate(EvalContext& ctx) const {
@@ -266,7 +269,10 @@ Value ConditionalExpr::evaluate(EvalContext& ctx) const {
 }
 
 std::string ConditionalExpr::unparse() const {
-  return "(" + cond_->unparse() + " ? " + then_->unparse() + " : " + otherwise_->unparse() + ")";
+  std::string out = "(";
+  out.append(cond_->unparse()).append(" ? ").append(then_->unparse()).append(" : ");
+  out.append(otherwise_->unparse()).append(")");
+  return out;
 }
 
 Value FunctionCallExpr::evaluate(EvalContext& ctx) const {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "audit/audit.h"
 
 namespace erms::audit {
@@ -97,27 +100,6 @@ TEST(AuditParse, WholeLogSkipsJunk) {
   EXPECT_EQ(events[1].cmd, "create");
 }
 
-TEST(AuditCep, EventCarriesAttributes) {
-  AuditEvent e = sample_event();
-  e.block = 9;
-  e.datanode = 2;
-  const cep::Event ce = e.to_cep_event();
-  EXPECT_EQ(ce.type, "audit");
-  EXPECT_EQ(ce.time, e.time);
-  EXPECT_EQ(ce.attrs.get_string("cmd"), "open");
-  EXPECT_EQ(ce.attrs.get_string("src"), "/data/part-0001");
-  EXPECT_EQ(ce.attrs.get_int("blk"), 9);
-  EXPECT_EQ(ce.attrs.get_int("dn"), 2);
-  EXPECT_EQ(ce.attrs.get_bool("allowed"), true);
-}
-
-TEST(AuditCep, OmitsAbsentExtensions) {
-  const cep::Event ce = sample_event().to_cep_event();
-  EXPECT_FALSE(ce.attrs.contains("blk"));
-  EXPECT_FALSE(ce.attrs.contains("dn"));
-  EXPECT_FALSE(ce.attrs.contains("dst"));
-}
-
 TEST(AuditParse, MalformedAndTruncatedLines) {
   // Empty / whitespace-only input.
   EXPECT_FALSE(AuditLogParser::parse_line("").has_value());
@@ -205,7 +187,40 @@ TEST(AuditParse, ParseReservesAndHandlesTrailingNewline) {
   EXPECT_EQ(events2.size(), 100u);
 }
 
-TEST(AuditSlotted, MatchesClassAdEventAttributes) {
+/// The attributes a slotted event carries, by name, rendered with their kind.
+std::map<std::string, std::string> attribute_set(const cep::SlottedEvent& e,
+                                                 const cep::SymbolTable& attrs) {
+  std::map<std::string, std::string> out;
+  for (const cep::Slot slot : e.touched()) {
+    const cep::SlotValue* v = e.get(slot);
+    if (v == nullptr) {
+      continue;
+    }
+    std::string& text = out[attrs.name(slot)];
+    switch (v->kind) {
+      case cep::SlotValue::Kind::kBool:
+        text = v->b ? "bool:true" : "bool:false";
+        break;
+      case cep::SlotValue::Kind::kInt:
+        text = "int:";
+        text.append(std::to_string(v->i));
+        break;
+      case cep::SlotValue::Kind::kReal:
+        text = "real:";
+        text.append(std::to_string(v->r));
+        break;
+      case cep::SlotValue::Kind::kString:
+        text = "string:";
+        text.append(v->s);
+        break;
+      case cep::SlotValue::Kind::kNull:
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(AuditSlotted, FillsTheAuditAttributeSet) {
   cep::SymbolTable attrs(/*fold_case=*/true);
   cep::SymbolTable streams(/*fold_case=*/false);
   const AuditSlots slots = AuditSlots::resolve(attrs, streams);
@@ -213,25 +228,28 @@ TEST(AuditSlotted, MatchesClassAdEventAttributes) {
   e.block = 11;
   e.datanode = 3;
   e.dst = "/moved";
+  e.fid = 42;
   cep::SlottedEvent slotted;
   e.to_slotted(slots, slotted);
   EXPECT_EQ(slotted.time, e.time);
   EXPECT_EQ(slotted.stream, streams.find(AuditEvent::kStream));
-  ASSERT_NE(slotted.get(slots.cmd), nullptr);
-  EXPECT_EQ(slotted.get(slots.cmd)->s, "open");
-  EXPECT_EQ(slotted.get(slots.src)->s, "/data/part-0001");
-  EXPECT_EQ(slotted.get(slots.blk)->i, 11);
-  EXPECT_EQ(slotted.get(slots.dn)->i, 3);
-  EXPECT_EQ(slotted.get(slots.dst)->s, "/moved");
-  EXPECT_TRUE(slotted.get(slots.allowed)->b);
+  const std::map<std::string, std::string> full = {
+      {"allowed", "bool:true"},   {"ugi", "string:hadoop"},
+      {"ip", "string:/10.0.1.7"}, {"cmd", "string:open"},
+      {"src", "string:/data/part-0001"}, {"dst", "string:/moved"},
+      {"blk", "int:11"},          {"dn", "int:3"},
+      {"fid", "int:42"}};
+  EXPECT_EQ(attribute_set(slotted, attrs), full);
 
-  // Reusing the event for a record without extensions clears them.
+  // Reusing the event for a record without extensions clears them: dst,
+  // blk, dn and fid are absent, not empty or zero.
   AuditEvent bare = sample_event();
   bare.to_slotted(slots, slotted);
-  EXPECT_EQ(slotted.get(slots.blk), nullptr);
-  EXPECT_EQ(slotted.get(slots.dn), nullptr);
-  EXPECT_EQ(slotted.get(slots.dst), nullptr);
-  EXPECT_EQ(slotted.get(slots.cmd)->s, "open");
+  std::map<std::string, std::string> base = full;
+  for (const char* extension : {"dst", "blk", "dn", "fid"}) {
+    base.erase(extension);
+  }
+  EXPECT_EQ(attribute_set(slotted, attrs), base);
 }
 
 TEST(AuditTimestamp, MultiDayRollover) {

@@ -1,10 +1,11 @@
-// Differential tests for the rebuilt audit ingest pipeline: the compiled
-// fast path, the slotted event representation and the ShardedEngine must all
-// produce byte-identical snapshots to the scalar ClassAd path. Workloads are
-// randomized (fixed seeds) over every aggregate kind, time and length
-// windows, group churn and eviction. Numeric attribute values are integers
-// so sums are exact in double arithmetic — cross-shard merge order must not
-// be able to change a correct result.
+// Differential and oracle tests for the audit ingest pipeline. The
+// ShardedEngine must produce byte-identical snapshots to the scalar engine,
+// the scalar engine must match brute-force recounts, and every compiled
+// WHERE predicate must agree with the ClassAd expression it came from.
+// Workloads are randomized (fixed seeds) over every aggregate kind, time and
+// length windows, group churn and eviction. Numeric attribute values are
+// integers so sums are exact in double arithmetic — cross-shard merge order
+// must not be able to change a correct result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,33 +20,25 @@
 #include "cep/engine.h"
 #include "cep/epl_parser.h"
 #include "cep/sharded_engine.h"
+#include "cep_test_event.h"
+#include "classad/classad.h"
+#include "classad/parser.h"
 
 namespace erms::cep {
 namespace {
 
-/// Render snapshot rows to one comparable string (ClassAd::unparse is
-/// deterministic: attributes print lower-cased in sorted order).
-std::string render(const std::vector<ResultRow>& rows) {
-  std::string out;
-  for (const ResultRow& row : rows) {
-    out += row.values.unparse();
-    out += '\n';
-  }
-  return out;
-}
-
 /// A randomized audit-like workload with monotone non-decreasing times.
 /// `files` controls group churn: small pools revisit groups, large pools
 /// keep creating (and evicting) fresh ones.
-std::vector<Event> make_workload(std::uint32_t seed, int n, int files) {
+std::vector<TestEvent> make_workload(std::uint32_t seed, int n, int files) {
   std::mt19937 rng{seed};
-  std::vector<Event> events;
+  std::vector<TestEvent> events;
   events.reserve(static_cast<std::size_t>(n));
   std::int64_t t_us = 0;
   for (int i = 0; i < n; ++i) {
     t_us += static_cast<std::int64_t>(rng() % 2000);  // repeats timestamps too
     const char* cmds[] = {"open", "read", "write", "delete"};
-    Event e{sim::SimTime{t_us}, rng() % 10 == 0 ? "other" : "audit"};
+    TestEvent e{sim::SimTime{t_us}, rng() % 10 == 0 ? "other" : "audit"};
     e.with_string("cmd", cmds[rng() % 4]);
     e.with_string("src", "/data/f" + std::to_string(rng() % static_cast<std::uint32_t>(files)));
     e.with_int("blk", static_cast<std::int64_t>(rng() % 64));
@@ -54,7 +47,7 @@ std::vector<Event> make_workload(std::uint32_t seed, int n, int files) {
       e.with_int("bytes", static_cast<std::int64_t>(rng() % 100000));
     }
     if (rng() % 7 == 0) {
-      e.attrs.insert_bool("allowed", rng() % 2 == 0);
+      e.with_bool("allowed", rng() % 2 == 0);
     }
     events.push_back(std::move(e));
   }
@@ -92,16 +85,16 @@ std::vector<QueryId> register_all(EngineBase& engine, const std::vector<std::str
 /// snapshot at periodic checkpoints and after a final advance past the
 /// longest window.
 void run_differential(EngineBase& reference, EngineBase& candidate,
-                      const std::vector<Event>& events,
+                      const std::vector<TestEvent>& events,
                       const std::vector<std::string>& epl, int checkpoint_every,
                       bool expect_drain = true) {
   const std::vector<QueryId> ref_ids = register_all(reference, epl);
   const std::vector<QueryId> cand_ids = register_all(candidate, epl);
   ASSERT_EQ(ref_ids.size(), cand_ids.size());
   int since_check = 0;
-  for (const Event& e : events) {
-    reference.push(e);
-    candidate.push(e);
+  for (const TestEvent& e : events) {
+    push(reference, e);
+    push(candidate, e);
     if (++since_check >= checkpoint_every) {
       since_check = 0;
       // Align both engines' notion of "now" before reading (the sharded
@@ -128,19 +121,6 @@ void run_differential(EngineBase& reference, EngineBase& candidate,
   }
 }
 
-TEST(CepDifferential, CompiledFastPathMatchesClassAdPath) {
-  for (const std::uint32_t seed : {1u, 2u, 3u}) {
-    for (const int files : {4, 300}) {
-      Engine fallback;
-      fallback.set_use_fast_path(false);
-      Engine fast;
-      ASSERT_TRUE(fast.use_fast_path());
-      run_differential(fallback, fast, make_workload(seed, 4000, files),
-                       time_window_queries(), 257);
-    }
-  }
-}
-
 TEST(CepDifferential, ShardedMatchesScalarAcrossShardCounts) {
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     for (const std::size_t batch : {32u, 256u}) {
@@ -154,15 +134,6 @@ TEST(CepDifferential, ShardedMatchesScalarAcrossShardCounts) {
                        time_window_queries(), 401);
     }
   }
-}
-
-TEST(CepDifferential, ShardedFallbackWherePathAlsoMatches) {
-  Engine scalar;
-  ShardedEngineOptions opts;
-  opts.shards = 4;
-  ShardedEngine sharded(opts);
-  sharded.set_use_fast_path(false);
-  run_differential(scalar, sharded, make_workload(77, 3000, 30), time_window_queries(), 499);
 }
 
 TEST(CepDifferential, LengthWindowsMatchAtOneShard) {
@@ -198,6 +169,118 @@ TEST(CepDifferential, GroupChurnAndEvictionUnderTinyWindow) {
   }
 }
 
+// ---------- compiled WHERE predicates vs ClassAd strict truth ----------
+
+/// The event as a ClassAd, which the oracle evaluates the WHERE against.
+classad::ClassAd to_classad(const TestEvent& e) {
+  classad::ClassAd ad;
+  for (const auto& [name, v] : e.attrs) {
+    switch (v.kind) {
+      case SlotValue::Kind::kBool:
+        ad.insert_bool(name, v.b);
+        break;
+      case SlotValue::Kind::kInt:
+        ad.insert_int(name, v.i);
+        break;
+      case SlotValue::Kind::kReal:
+        ad.insert_real(name, v.r);
+        break;
+      case SlotValue::Kind::kString:
+        ad.insert_string(name, v.s);
+        break;
+      case SlotValue::Kind::kNull:
+        break;
+    }
+  }
+  return ad;
+}
+
+/// WHERE clauses beyond time_window_queries(), one per semantic edge the
+/// compiler must reproduce.
+std::vector<std::string> edge_wheres() {
+  return {
+      "missing == 3", "missing", "missing != \"x\"",          // absent attribute
+      "cmd == 5", "dn == \"3\"", "dn < \"9\"",                 // string vs int
+      "cmd == \"OPEN\"", "cmd < \"Read\"", "cmd >= \"rEaD\"",  // case folding
+      "ratio == 2", "ratio > 1", "dn == 3.0", "dn <= 2.5",     // int vs real
+      "allowed < true", "allowed >= false", "allowed == true", "allowed != false",
+      "5 < dn", "3 >= dn", "\"open\" == cmd", "\"m\" < cmd", "2.5 <= ratio",  // flip
+      "dn == undefined", "undefined != cmd", "cmd == error",    // UNDEFINED/ERROR literal
+      "MY.dn >= 6", "MY.cmd == \"read\" && allowed",             // MY. scope
+      "ratio", "dn", "cmd", "allowed",                          // bare truth tests
+      "cmd == \"read\" && dn >= 6 && ratio < 2",
+  };
+}
+
+/// Events that hit each edge: no attributes at all, mixed-case strings,
+/// reals equal to and between ints, zero and non-zero truth values, and a
+/// `dn` that is a string or a real instead of an int.
+std::vector<TestEvent> edge_events() {
+  std::vector<TestEvent> events;
+  const sim::SimTime t{1};
+  events.emplace_back(t, "audit");
+  for (const char* cmd : {"OPEN", "open", "Read", "rEaD", "delete", "M", ""}) {
+    events.emplace_back(t, "audit");
+    events.back().with_string("cmd", cmd);
+  }
+  for (const double ratio : {0.0, 1.0, 2.0, 2.5, -1.0}) {
+    for (const std::int64_t dn : {0, 3, 6}) {
+      events.emplace_back(t, "audit");
+      events.back().with_real("ratio", ratio).with_int("dn", dn).with_string("cmd", "read");
+    }
+  }
+  for (const bool allowed : {true, false}) {
+    events.emplace_back(t, "audit");
+    events.back().with_bool("allowed", allowed).with_string("cmd", "READ").with_int("dn", 7);
+  }
+  events.emplace_back(t, "audit");
+  events.back().with_string("dn", "3").with_string("missing", "x");
+  events.emplace_back(t, "audit");
+  events.back().with_real("dn", 3.0).with_int("missing", 3);
+  events.emplace_back(t, "audit");
+  events.back().with_bool("dn", true).with_bool("ratio", false).with_int("cmd", 5);
+  return events;
+}
+
+TEST(CepPredicateOracle, CompiledWhereMatchesClassAdStrictTruth) {
+  std::vector<std::string> wheres;
+  for (const std::string& epl : time_window_queries()) {
+    if (const Query q = parse_epl(epl); q.where) {
+      wheres.push_back(q.where->unparse());
+    }
+  }
+  const std::vector<std::string> edges = edge_wheres();
+  wheres.insert(wheres.end(), edges.begin(), edges.end());
+  std::vector<TestEvent> events = make_workload(3, 2000, 50);
+  for (TestEvent& e : edge_events()) {
+    events.push_back(std::move(e));
+  }
+  std::size_t ever_true = 0;  // WHERE clauses some event satisfies
+  for (const std::string& where : wheres) {
+    SCOPED_TRACE("WHERE " + where);
+    Engine engine;  // supplies the symbol tables both sides intern into
+    Query q;
+    q.from = "audit";
+    q.where = classad::parse_expr(where);
+    const CompiledQuery plan =
+        CompiledQuery::compile(q, engine.attr_symbols(), engine.stream_symbols());
+    ASSERT_FALSE(plan.preds.empty());
+    SlottedEvent slotted;
+    bool any = false;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      events[i].to_slotted(engine, slotted);
+      const bool fast = std::all_of(plan.preds.begin(), plan.preds.end(),
+                                    [&](const FastPred& p) { return eval_fast_pred(p, slotted); });
+      const classad::Value v = to_classad(events[i]).evaluate_expr(*q.where);
+      ASSERT_EQ(fast, v.is_bool() && v.as_bool()) << "event " << i;
+      any = any || fast;
+    }
+    ever_true += any ? 1 : 0;
+  }
+  // Most clauses select something, so the agreement above is not vacuous.
+  EXPECT_GT(ever_true, wheres.size() / 2);
+}
+
 /// Brute-force oracle: recompute one query's windowed aggregates straight
 /// from the event list and compare against the engine. Guards against the
 /// reference engine and the candidates being identically wrong.
@@ -207,12 +290,12 @@ TEST(CepOracle, ScalarEngineMatchesBruteForce) {
   const QueryId id = engine.register_query(parse_epl(
       "SELECT count(*) AS n, sum(bytes) AS s, min(bytes) AS mn, max(bytes) AS mx "
       "FROM audit WHERE cmd == \"read\" GROUP BY src WINDOW TIME 12s"));
-  const std::vector<Event> events = make_workload(21, 3000, 25);
-  std::vector<const Event*> matched;  // in arrival order
+  const std::vector<TestEvent> events = make_workload(21, 3000, 25);
+  std::vector<const TestEvent*> matched;  // in arrival order
   int i = 0;
-  for (const Event& e : events) {
-    engine.push(e);
-    if (e.type == "audit" && e.attrs.get_string("cmd") == "read") {
+  for (const TestEvent& e : events) {
+    push(engine, e);
+    if (e.stream == "audit" && e.get_string("cmd") == "read") {
       matched.push_back(&e);
     }
     if (++i % 500 != 0) {
@@ -227,13 +310,13 @@ TEST(CepOracle, ScalarEngineMatchesBruteForce) {
       bool any_bytes{false};
     };
     std::map<std::string, Agg> expect;
-    for (const Event* m : matched) {
+    for (const TestEvent* m : matched) {
       if (m->time <= cutoff) {
         continue;  // evicted
       }
-      Agg& a = expect[*m->attrs.get_string("src")];
+      Agg& a = expect[*m->get_string("src")];
       ++a.n;
-      if (const auto b = m->attrs.get_int("bytes")) {
+      if (const auto b = m->get_int("bytes")) {
         a.sum += *b;
         a.mn = a.any_bytes ? std::min(a.mn, *b) : *b;
         a.mx = a.any_bytes ? std::max(a.mx, *b) : *b;
@@ -266,9 +349,34 @@ TEST(CepOracle, ScalarEngineMatchesBruteForce) {
   }
 }
 
-TEST(CepSharded, SlottedAuditPathMatchesClassAdEvents) {
+/// An audit record as a named-attribute event: the attribute set the audit
+/// stream publishes, written out independently of AuditEvent::to_slotted.
+TestEvent named_audit(const audit::AuditEvent& a) {
+  TestEvent e{a.time, audit::AuditEvent::kStream};
+  e.with_bool("allowed", a.allowed)
+      .with_string("ugi", a.ugi)
+      .with_string("ip", a.ip)
+      .with_string("cmd", a.cmd)
+      .with_string("src", a.src);
+  if (!a.dst.empty()) {
+    e.with_string("dst", a.dst);
+  }
+  if (a.block) {
+    e.with_int("blk", *a.block);
+  }
+  if (a.datanode) {
+    e.with_int("dn", *a.datanode);
+  }
+  if (a.fid != 0) {
+    e.with_int("fid", a.fid);
+  }
+  return e;
+}
+
+TEST(CepSharded, SlottedAuditPathMatchesNamedEvents) {
   // The feed's real ingest shape: AuditEvent::to_slotted into a reused
-  // event, versus the same records as ClassAd events into a scalar engine.
+  // event and a sharded engine, versus the same records as named-attribute
+  // events into a scalar engine.
   Engine scalar;
   ShardedEngineOptions opts;
   opts.shards = 4;
@@ -294,7 +402,7 @@ TEST(CepSharded, SlottedAuditPathMatchesClassAdEvents) {
     e.src = "/data/part-" + std::to_string(rng() % 40);
     e.block = static_cast<std::int64_t>(rng() % 200);
     e.datanode = static_cast<std::int64_t>(rng() % 16);
-    scalar.push(e.to_cep_event());
+    push(scalar, named_audit(e));
     e.to_slotted(slots, scratch);
     sharded.push_slotted(scratch);
   }
@@ -325,9 +433,9 @@ TEST(CepSharded, RegisterAndRemoveFanOut) {
   EXPECT_FALSE(engine.remove_query(a));
   EXPECT_EQ(engine.query_count(), 1u);
 
-  Event e{sim::SimTime{1000}, "audit"};
+  TestEvent e{sim::SimTime{1000}, "audit"};
   e.with_string("src", "/x").with_int("dn", 3);
-  engine.push(e);
+  push(engine, e);
   const auto rows = engine.snapshot(b);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].values.get_int("n"), 1);
@@ -339,27 +447,27 @@ TEST(CepSharded, RegisterAndRemoveFanOut) {
 /// A group key as the oracle sees it: each component's kind and rendering.
 using OracleKey = std::vector<std::pair<KeyKind, std::string>>;
 
-OracleKey oracle_key(const Event& e, const std::vector<std::string>& group_by) {
+OracleKey oracle_key(const TestEvent& e, const std::vector<std::string>& group_by) {
   OracleKey key;
   for (const std::string& attr : group_by) {
-    const classad::Value v = e.attrs.evaluate(attr);
-    switch (v.type()) {
-      case classad::Value::Type::kInt:
-        key.emplace_back(KeyKind::kInt, std::to_string(v.as_int()));
+    const SlotValue* v = e.find(attr);
+    switch (v == nullptr ? SlotValue::Kind::kNull : v->kind) {
+      case SlotValue::Kind::kInt:
+        key.emplace_back(KeyKind::kInt, std::to_string(v->i));
         break;
-      case classad::Value::Type::kReal: {
+      case SlotValue::Kind::kReal: {
         char buf[48];
-        std::snprintf(buf, sizeof(buf), "%g", v.as_real());
+        std::snprintf(buf, sizeof(buf), "%g", v->r);
         key.emplace_back(KeyKind::kReal, buf);
         break;
       }
-      case classad::Value::Type::kString:
-        key.emplace_back(KeyKind::kString, v.as_string());
+      case SlotValue::Kind::kString:
+        key.emplace_back(KeyKind::kString, v->s);
         break;
-      case classad::Value::Type::kBool:
-        key.emplace_back(KeyKind::kBool, v.as_bool() ? "true" : "false");
+      case SlotValue::Kind::kBool:
+        key.emplace_back(KeyKind::kBool, v->b ? "true" : "false");
         break;
-      default:
+      case SlotValue::Kind::kNull:
         key.emplace_back(KeyKind::kAbsent, "");
         break;
     }
@@ -391,16 +499,16 @@ std::string joined(const OracleKey& key) {
 /// and an absent first component in (a, b), strings (`user`, `cmd`, `src`),
 /// reals that collide once rendered (`k`), and an int 5 beside a string "5"
 /// (`m`).
-std::vector<Event> make_keyed_workload(std::uint32_t seed, int n) {
+std::vector<TestEvent> make_keyed_workload(std::uint32_t seed, int n) {
   std::mt19937 rng{seed};
-  std::vector<Event> events;
+  std::vector<TestEvent> events;
   std::int64_t t_us = 0;
   const char* cmds[] = {"open", "read", "write"};
   const char* users[] = {"alice", "bob", "10", "2", ""};
   const double reals[] = {0.5, -3.25, 1.0000001, 1.0000002, 1e-7, 250000.0};
   for (int i = 0; i < n; ++i) {
     t_us += static_cast<std::int64_t>(rng() % 400'000);
-    Event e{sim::SimTime{t_us}, "s"};
+    TestEvent e{sim::SimTime{t_us}, "s"};
     e.with_string("cmd", cmds[rng() % 3]);
     e.with_int("fid", static_cast<std::int64_t>(1 + rng() % 12));
     if (rng() % 4 != 0) {
@@ -458,9 +566,9 @@ void check_keyed_recount(EngineBase& engine, std::uint32_t seed) {
     parsed.push_back(parse_epl(q.epl));
     ids.push_back(engine.register_query(parse_epl(q.epl)));
   }
-  const std::vector<Event> events = make_keyed_workload(seed, 1500);
+  const std::vector<TestEvent> events = make_keyed_workload(seed, 1500);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    engine.push(events[i]);
+    push(engine, events[i]);
     if ((i + 1) % 250 != 0) {
       continue;
     }
@@ -470,11 +578,11 @@ void check_keyed_recount(EngineBase& engine, std::uint32_t seed) {
       SCOPED_TRACE(queries[q].epl + " at event " + std::to_string(i));
       std::map<OracleKey, std::uint64_t> want;
       for (std::size_t j = 0; j <= i; ++j) {
-        const Event& e = events[j];
+        const TestEvent& e = events[j];
         if (e.time <= now - parsed[q].window.duration) {
           continue;
         }
-        if (queries[q].reads_only && e.attrs.get_string("cmd") != "read") {
+        if (queries[q].reads_only && e.get_string("cmd") != "read") {
           continue;
         }
         ++want[oracle_key(e, parsed[q].group_by)];
@@ -547,9 +655,9 @@ TEST(TypedKeys, SortedVisitOrdersDecimalTextNotValue) {
     const QueryId id = engine->register_query(
         parse_epl("SELECT count(*) AS n FROM s GROUP BY fid WINDOW TIME 60s"));
     for (const std::int64_t fid : {2, 10, 1, -3, 10}) {
-      Event e{sim::SimTime{1000}, "s"};
+      TestEvent e{sim::SimTime{1000}, "s"};
       e.with_int("fid", fid).with_string("src", "/f" + std::to_string(fid));
-      engine->push(e);
+      push(*engine, e);
     }
     std::vector<std::int64_t> order;
     std::vector<std::uint64_t> counts;
@@ -568,10 +676,10 @@ TEST(TypedKeys, IntAndStringRenderingAlikeAreDifferentGroups) {
   Engine engine;
   const QueryId id =
       engine.register_query(parse_epl("SELECT count(*) AS n FROM s GROUP BY m WINDOW TIME 60s"));
-  engine.push(Event{sim::SimTime{1}, "s"}.with_int("m", 5));
-  engine.push(Event{sim::SimTime{2}, "s"}.with_string("m", "5"));
-  engine.push(Event{sim::SimTime{3}, "s"}.with_int("m", 5));
-  engine.push(Event{sim::SimTime{4}, "s"});  // m absent
+  push(engine, TestEvent{sim::SimTime{1}, "s"}.with_int("m", 5));
+  push(engine, TestEvent{sim::SimTime{2}, "s"}.with_string("m", "5"));
+  push(engine, TestEvent{sim::SimTime{3}, "s"}.with_int("m", 5));
+  push(engine, TestEvent{sim::SimTime{4}, "s"});  // m absent
   const std::vector<ResultRow> rows = engine.snapshot(id);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].values.get_string("m"), "");  // absent renders empty, sorts first
@@ -589,7 +697,7 @@ TEST(TypedKeys, RemoveAndReRegisterRecyclesSlots) {
   // survivor exactly where a fresh engine fed the same events would be.
   const std::string by_user = "SELECT count(*) AS n FROM s GROUP BY user WINDOW TIME 10s";
   const std::string by_src = "SELECT count(*) AS n FROM s GROUP BY src, dn WINDOW TIME 10s";
-  const std::vector<Event> events = make_keyed_workload(9, 1200);
+  const std::vector<TestEvent> events = make_keyed_workload(9, 1200);
   Engine engine;
   Engine whole;  // sees every event, by_user only
   Engine late;   // sees the events after the swap, by_src only
@@ -604,10 +712,10 @@ TEST(TypedKeys, RemoveAndReRegisterRecyclesSlots) {
       fresh = engine.register_query(parse_epl(by_src));
       late_id = late.register_query(parse_epl(by_src));
     }
-    engine.push(events[i]);
-    whole.push(events[i]);
+    push(engine, events[i]);
+    push(whole, events[i]);
     if (i >= 600) {
-      late.push(events[i]);
+      push(late, events[i]);
     }
     if (i % 150 == 149) {
       EXPECT_EQ(render(engine.snapshot(kept)), render(whole.snapshot(whole_id))) << i;

@@ -7,6 +7,7 @@
 #include <span>
 
 #include "cep/engine.h"
+#include "cep_test_event.h"
 #include "condor/scheduler.h"
 #include "core/erms_placement.h"
 #include "core/standby.h"
@@ -303,7 +304,7 @@ TEST_P(WindowInvariant, ContentsAlwaysInWindow) {
     t += rng.uniform_real(0.0, 2.0);
     const sim::SimTime now{static_cast<std::int64_t>(t * 1e6)};
     const auto key = static_cast<std::int64_t>(rng.uniform_int(0, 3));
-    engine.push(cep::Event{now, "s"}.with_int("k", key));
+    cep::push(engine, cep::TestEvent{now, "s"}.with_int("k", key));
     pushed.push_back({now, key});
 
     // Recount from scratch: a time window holds (now - duration, now], a
